@@ -11,46 +11,27 @@
 
 namespace sst::core {
 
-using rig::make_delay;
-using rig::make_loss;
-using rig::make_scheduler;
-
 Experiment::Experiment(ExperimentConfig config)
     : cfg_(std::move(config)),
       root_(cfg_.seed),
-      feedback_(cfg_.variant == Variant::kFeedback),
-      nack_loss_(cfg_.nack_loss_rate < 0 ? cfg_.loss_rate
-                                         : cfg_.nack_loss_rate),
       monitor_(sim_, pub_),
       workload_(sim_, pub_, cfg_.workload, root_.fork("workload")),
       data_channel_(sim_),
-      shared_rng_(root_.fork("shared-loss")),
-      base_mu_(cfg_.mu_data) {
-  // Hostile forward stage between the sender's (shared-loss-surviving)
-  // transmissions and the data channel. Built only when configured.
-  if (cfg_.fwd_hostile.active()) {
-    fwd_hostile_ = std::make_unique<net::HostileChannel<DataMsg>>(
-        sim_, cfg_.fwd_hostile, root_.fork("hostile-fwd"),
-        [this](const DataMsg& msg, sim::Bytes size) {
-          data_channel_.send(msg, size);
-        });
-  }
-
+      collector_(cfg_) {
   // Multicast feedback: one shared group over which every NACK reaches the
   // sender and every other receiver (observe_nack), enabling slotting and
   // damping.
-  if (feedback_ && cfg_.multicast_feedback) {
+  if (cfg_.variant == Variant::kFeedback && cfg_.multicast_feedback) {
     mcast_fb_ = std::make_unique<net::Channel<NackMsg>>(sim_);
     mcast_fb_->add_receiver(
-        make_loss(cfg_, nack_loss_, root_.fork("nack-loss-sender"),
-                  root_.fork("switch-nack-sender")),
-        make_delay(cfg_, root_.fork("nack-delay-sender")),
-        [this](const NackMsg& nack) {
-          if (tq_sender_ != nullptr) tq_sender_->handle_nack(nack);
-        });
+        rig::make_loss(cfg_, rig::nack_loss(cfg_),
+                       root_.fork("nack-loss-sender"),
+                       root_.fork("switch-nack-sender")),
+        rig::make_delay(cfg_, root_.fork("nack-delay-sender")),
+        [this](const NackMsg& nack) { deliver_nack(nack); });
   }
 
-  for (std::size_t r = 0; r < cfg_.num_receivers; ++r) add_receiver_rig();
+  for (std::size_t r = 0; r < cfg_.num_receivers; ++r) add_receiver();
 
   // Oracle removal: the paper's model eliminates expired records "from both
   // the sender's and receivers' tables". Iterates the live rig list so
@@ -63,153 +44,48 @@ Experiment::Experiment(ExperimentConfig config)
     });
   }
 
-  if (cfg_.variant == Variant::kOpenLoop) {
-    ol_sender_ = std::make_unique<OpenLoopSender>(
-        sim_, pub_, workload_, cfg_.mu_data,
-        [this](const DataMsg& msg) { transmit(msg); });
-    ol_sender_->on_transmit([this](const DataMsg& m) { count_redundant(m); });
-  } else {
-    TwoQueueConfig tq;
-    tq.mu_data = cfg_.mu_data;
-    tq.hot_share = cfg_.hot_share;
-    tq.feedback = feedback_;
-    tq_sender_owned_ = std::make_unique<TwoQueueSender>(
-        sim_, pub_, workload_, tq,
-        make_scheduler(cfg_.scheduler, root_.fork("sched")),
-        [this](const DataMsg& msg) { transmit(msg); });
-    tq_sender_owned_->on_transmit(
-        [this](const DataMsg& m) { count_redundant(m); });
-    tq_sender_ = tq_sender_owned_.get();
-  }
+  sender_.emplace(
+      cfg_, root_, sim_, pub_, workload_,
+      [this](const DataMsg& msg, sim::Bytes size) {
+        data_channel_.send(msg, size);
+      },
+      [this](const DataMsg& msg) { count_redundant(msg); });
 
   workload_.start();
 }
 
-std::size_t Experiment::add_receiver_rig() {
-  const std::size_t r = receivers_.size();
-  ReceiverRig rig;
-  rig.table = std::make_unique<ReceiverTable>(sim_, cfg_.receiver_ttl);
-  monitor_.attach(*rig.table);
-
-  if (feedback_ && !cfg_.multicast_feedback) {
-    rig.fb_channel = std::make_unique<net::Channel<NackMsg>>(sim_);
-    auto rev_loss = make_loss(cfg_, nack_loss_, root_.fork("nack-loss", r),
-                              root_.fork("switch-nack", r));
-    rig.rev_switch = rev_loss.get();
-    rig.fb_channel->add_receiver(
-        std::move(rev_loss), make_delay(cfg_, root_.fork("nack-delay", r)),
-        [this](const NackMsg& nack) {
-          if (tq_sender_ != nullptr) tq_sender_->handle_nack(nack);
-        });
-    // NACKs drain at mu_fb; a bounded queue drops feedback bursts that
-    // exceed the budget instead of letting stale NACKs pile up.
-    net::Channel<NackMsg>* chan = rig.fb_channel.get();
-    if (cfg_.fb_hostile.active()) {
-      rig.fb_hostile = std::make_unique<net::HostileChannel<NackMsg>>(
-          sim_, cfg_.fb_hostile, root_.fork("hostile-fb", r),
-          [chan](const NackMsg& nack, sim::Bytes size) {
-            chan->send(nack, size);
-          });
-    }
-    net::HostileChannel<NackMsg>* hostile = rig.fb_hostile.get();
-    rig.fb_link = std::make_unique<net::Link<NackMsg>>(
-        sim_, cfg_.mu_fb,
-        [chan, hostile](const NackMsg& nack, sim::Bytes size) {
-          if (hostile != nullptr) {
-            hostile->send(nack, size);
-          } else {
-            chan->send(nack, size);
-          }
-        },
-        /*queue_limit=*/8);
-  }
-
-  ReceiverConfig rcfg = cfg_.receiver;
-  rcfg.feedback = feedback_;
-  if (cfg_.multicast_feedback) {
-    net::Channel<NackMsg>* group = mcast_fb_.get();
-    const auto origin = static_cast<std::uint32_t>(r + 1);
-    if (cfg_.fb_hostile.active()) {
-      // Each receiver's uplink into the shared group gets its own hostile
-      // stage (independent streams), feeding the group past it.
-      rig.fb_hostile = std::make_unique<net::HostileChannel<NackMsg>>(
-          sim_, cfg_.fb_hostile, root_.fork("hostile-fb", r),
-          [this](const NackMsg& nack, sim::Bytes size) {
-            group_nack_send(nack, size);
-          });
-    }
-    net::HostileChannel<NackMsg>* hostile = rig.fb_hostile.get();
-    rig.agent = std::make_unique<ReceiverAgent>(
-        sim_, *rig.table, rcfg,
-        [this, group, hostile, origin, r](const NackMsg& nack) {
-          // A partitioned receiver's uplink is down too.
-          if (group != nullptr && !receivers_[r].partitioned) {
-            NackMsg tagged = nack;
-            tagged.origin = origin;
-            if (hostile != nullptr) {
-              hostile->send(tagged, tagged.size);
-            } else {
-              group_nack_send(tagged, tagged.size);
-            }
-          }
-        },
-        root_.fork("agent", r));
-  } else {
-    net::Link<NackMsg>* link = feedback_ ? rig.fb_link.get() : nullptr;
-    rig.agent = std::make_unique<ReceiverAgent>(
-        sim_, *rig.table, rcfg,
-        [link](const NackMsg& nack) {
-          if (link != nullptr) link->send(nack, nack.size);
-        },
-        root_.fork("agent", r));
-  }
-
-  const double fwd_loss = r < cfg_.receiver_loss_rates.size()
-                              ? cfg_.receiver_loss_rates[r]
-                              : cfg_.loss_rate;
-  ReceiverAgent* agent = rig.agent.get();
-  if (feedback_ && cfg_.multicast_feedback) {
-    // This receiver also overhears the group's NACK traffic.
-    const auto origin = static_cast<std::uint32_t>(r + 1);
-    auto obs_loss = make_loss(cfg_, nack_loss_,
-                              root_.fork("nack-observe-loss", r),
-                              root_.fork("switch-observe", r));
-    rig.observe_switch = obs_loss.get();
-    rig.mcast_ep = mcast_fb_->add_receiver(
-        std::move(obs_loss),
-        make_delay(cfg_, root_.fork("nack-observe-delay", r)),
-        [agent, origin](const NackMsg& nack) {
-          if (nack.origin != origin) agent->observe_nack(nack);
-        });
-    rig.has_mcast_ep = true;
-  }
-  auto fwd = make_loss(cfg_, fwd_loss, root_.fork("loss", r),
-                       root_.fork("switch-loss", r));
-  rig.fwd_switch = fwd.get();
-  data_channel_.add_receiver(
-      std::move(fwd), make_delay(cfg_, root_.fork("delay", r)),
-      [agent](const DataMsg& msg) { agent->handle(msg); });
-
-  receivers_.push_back(std::move(rig));
-  return r;
+std::size_t Experiment::add_receiver() {
+  // Every receiver lives on this one queue; its feedback reaches the sender
+  // (unicast) or the group (multicast) directly, and it overhears the group
+  // through a local endpoint.
+  return rig::build_receiver(
+      cfg_, root_, rig::Block{sim_, monitor_, data_channel_, receivers_},
+      receivers_.size(),
+      [this](const NackMsg& nack) { group_nack_send(nack); },
+      [this](net::Channel<NackMsg>& channel,
+             std::unique_ptr<net::LossModel> loss,
+             std::unique_ptr<net::DelayModel> delay) {
+        channel.add_receiver(std::move(loss), std::move(delay),
+                             [this](const NackMsg& nack) {
+                               deliver_nack(nack);
+                             });
+      },
+      [this](std::unique_ptr<net::LossModel> loss,
+             std::unique_ptr<net::DelayModel> delay, ReceiverAgent* agent,
+             std::uint32_t origin) {
+        return mcast_fb_->add_receiver(
+            std::move(loss), std::move(delay),
+            [agent, origin](const NackMsg& nack) {
+              if (nack.origin != origin) agent->observe_nack(nack);
+            });
+      });
 }
 
-void Experiment::transmit(const DataMsg& msg) {
-  // Shared upstream (backbone) loss stage: one draw drops the packet for
-  // every receiver; survivors then face their independent leaf losses.
-  if (cfg_.shared_loss_rate > 0 &&
-      shared_rng_.bernoulli(cfg_.shared_loss_rate)) {
-    ++shared_drops_;
-    return;
-  }
-  if (fwd_hostile_ != nullptr) {
-    fwd_hostile_->send(msg, msg.size);
-  } else {
-    data_channel_.send(msg, msg.size);
-  }
+void Experiment::deliver_nack(const NackMsg& nack) {
+  if (TwoQueueSender* tq = sender_->two_queue()) tq->handle_nack(nack);
 }
 
-void Experiment::group_nack_send(const NackMsg& nack, sim::Bytes size) {
+void Experiment::group_nack_send(const NackMsg& nack) {
   // Stash only; the first stash of the instant schedules the flush, which
   // the kernel runs after every event already queued for this timestamp.
   // Flushing in canonical content order makes the group-entry order at an
@@ -217,16 +93,12 @@ void Experiment::group_nack_send(const NackMsg& nack, sim::Bytes size) {
   // draw — a pure function of the NACKs themselves, which the sharded
   // engine's cross-shard drain reproduces without the global event queue
   // (same contract as TwoQueueSender::handle_nack on the sender lane).
-  pending_group_.emplace_back(nack, size);
+  pending_group_.push_back(nack);
   if (pending_group_.size() == 1) {
     sim_.at(sim_.now(), [this] {
       std::stable_sort(pending_group_.begin(), pending_group_.end(),
-                       [](const auto& a, const auto& b) {
-                         return nack_content_less(a.first, b.first);
-                       });
-      for (const auto& [msg, bytes] : pending_group_) {
-        mcast_fb_->send(msg, bytes);
-      }
+                       nack_content_less);
+      for (const NackMsg& msg : pending_group_) mcast_fb_->send(msg, msg.size);
       pending_group_.clear();
     });
   }
@@ -235,36 +107,22 @@ void Experiment::group_nack_send(const NackMsg& nack, sim::Bytes size) {
 void Experiment::count_redundant(const DataMsg& msg) {
   // Redundancy oracle: a transmission is redundant if every (attached)
   // receiver already holds the announced version.
-  for (const auto& rig : receivers_) {
-    if (!rig.active) continue;
-    const auto* e = rig.table->find(msg.key);
-    if (e == nullptr || e->version < msg.version) return;
-  }
-  ++redundant_tx_;
+  if (rig::all_hold(receivers_, msg)) ++redundant_tx_;
+}
+
+Tally Experiment::tally() const {
+  Tally t;
+  t.sender = sender_->stats();
+  t.add(receivers_, data_channel_, monitor_);
+  t.add_group(mcast_fb_.get());
+  return t;
 }
 
 void Experiment::run_warmup() {
   sim_.run_until(cfg_.warmup);
-  if (fluid_) {
-    fluid_->advance(cfg_.warmup);
-    fluid_->reset_stats();
-  }
   monitor_.reset_stats();
   redundant_tx_ = 0;
-  warm_sender_ = ol_sender_ ? ol_sender_->stats() : tq_sender_->stats();
-  warm_nacks_sent_ = 0;
-  for (const auto& rig : receivers_) {
-    warm_nacks_sent_ += rig.agent->stats().nacks_sent;
-  }
-  warm_delivered_ = data_channel_.stats().delivered;
-  warm_dropped_ = data_channel_.stats().dropped;
-  warm_fb_bytes_ = 0.0;
-  for (const auto& rig : receivers_) {
-    if (rig.fb_channel) warm_fb_bytes_ += rig.fb_channel->stats().bytes_sent;
-  }
-  if (mcast_fb_) warm_fb_bytes_ += mcast_fb_->stats().bytes_sent;
-  warm_data_bytes_ = data_channel_.stats().bytes_sent;
-  warmed_up_ = true;
+  collector_.warm(tally());
 
   // Optional c(t) timeline via integral differencing.
   if (cfg_.sample_interval > 0) {
@@ -282,187 +140,44 @@ void Experiment::run_warmup() {
 
 void Experiment::run_until(double t) {
   sim_.run_until(t);
-  if (fluid_) fluid_->advance(sim_.now());
-}
-
-double Experiment::now() const { return sim_.now(); }
-
-double Experiment::instantaneous_consistency() const {
-  return monitor_.instantaneous();
-}
-
-void Experiment::crash_sender() {
-  if (tq_sender_ != nullptr) {
-    tq_sender_->pause();
-  } else if (ol_sender_) {
-    ol_sender_->pause();
-  }
-}
-
-void Experiment::restart_sender() {
-  if (tq_sender_ != nullptr) {
-    tq_sender_->resume();
-  } else if (ol_sender_) {
-    ol_sender_->resume();
-  }
-}
-
-bool Experiment::sender_crashed() const {
-  if (tq_sender_ != nullptr) return tq_sender_->paused();
-  if (ol_sender_) return ol_sender_->paused();
-  return false;
+  collector_.advance_cohort(sim_.now());
 }
 
 void Experiment::set_partition(std::size_t r, bool down) {
-  ReceiverRig& rig = receivers_.at(r);
-  rig.partitioned = down;
-  if (rig.fwd_switch != nullptr) rig.fwd_switch->set_down(down);
-  if (rig.rev_switch != nullptr) rig.rev_switch->set_down(down);
-  if (rig.observe_switch != nullptr) rig.observe_switch->set_down(down);
+  rig::set_partition(receivers_.at(r), down);
 }
 
 void Experiment::set_partition_all(bool down) {
-  for (std::size_t r = 0; r < receivers_.size(); ++r) {
-    if (receivers_[r].active) set_partition(r, down);
+  for (auto& rig : receivers_) {
+    if (rig.active) rig::set_partition(rig, down);
   }
 }
 
 void Experiment::set_extra_loss(std::size_t r, double p) {
-  ReceiverRig& rig = receivers_.at(r);
-  if (rig.fwd_switch != nullptr) rig.fwd_switch->set_extra_loss(p);
+  rig::set_extra_loss(receivers_.at(r), p);
 }
 
 void Experiment::set_extra_loss_all(double p) {
-  for (std::size_t r = 0; r < receivers_.size(); ++r) {
-    if (receivers_[r].active) set_extra_loss(r, p);
+  for (auto& rig : receivers_) {
+    if (rig.active) rig::set_extra_loss(rig, p);
   }
 }
-
-void Experiment::set_bandwidth_factor(double factor) {
-  const sim::Rate mu = base_mu_ * factor;
-  if (tq_sender_ != nullptr) {
-    tq_sender_->set_mu_data(mu);
-  } else if (ol_sender_) {
-    ol_sender_->set_mu_ch(mu);
-  }
-}
-
-std::size_t Experiment::add_receiver() { return add_receiver_rig(); }
 
 void Experiment::detach_receiver(std::size_t r) {
-  ReceiverRig& rig = receivers_.at(r);
-  if (!rig.active) return;
-  rig.active = false;
-  monitor_.detach(r);
-  rig.agent->stop();
-  data_channel_.set_receiver_enabled(r, false);
-  if (mcast_fb_ && rig.has_mcast_ep) {
-    mcast_fb_->set_receiver_enabled(rig.mcast_ep, false);
-  }
-}
-
-double Experiment::repair_traffic() const {
-  const SenderStats& s =
-      ol_sender_ ? ol_sender_->stats() : tq_sender_->stats();
-  std::uint64_t nacks = 0;
-  for (const auto& rig : receivers_) nacks += rig.agent->stats().nacks_sent;
-  double total = static_cast<double>(s.repair_tx + nacks);
-  if (fluid_) total += fluid_->repair_traffic();
-  return total;
-}
-
-void Experiment::attach_fluid_cohort(double m) {
-  analysis::FluidParams fp = fluid_params_from(cfg_);
-  fp.cohort = m;
-  fluid_m_ = m;
-  fluid_ = std::make_unique<analysis::FluidIntegrator>(fp);
+  if (!receivers_.at(r).active) return;
+  rig::detach(rig::Block{sim_, monitor_, data_channel_, receivers_}, r,
+              mcast_fb_.get());
 }
 
 ExperimentResult Experiment::finish() {
   sim_.run_until(end_time());
   if (sampler_) sampler_->stop();
-
-  result_.avg_consistency = monitor_.average_consistency();
-  if (fluid_) {
-    // Blend the fluid cohort into the aggregate with population weights:
-    // the tracked receivers and the cohort observe the same announce
-    // stream, so E[c] over the whole population is the weighted mean.
-    fluid_->advance(end_time());
-    const auto n = static_cast<double>(monitor_.active_receivers());
-    const double cf = fluid_->average_consistency();
-    result_.fluid_cohort = fluid_m_;
-    result_.fluid_consistency = cf;
-    result_.fluid_live = fluid_->live();
-    result_.fluid_occupancy = fluid_->average_occupancy();
-    if (fluid_m_ > 0.0) {
-      result_.avg_consistency =
-          (n * result_.avg_consistency + fluid_m_ * cf) / (n + fluid_m_);
-    }
-  }
-  auto& lat = monitor_.latency();
-  result_.mean_latency = lat.mean();
-  result_.p50_latency = lat.quantile(0.50);
-  result_.p95_latency = lat.quantile(0.95);
-
-  const SenderStats s = ol_sender_ ? ol_sender_->stats() : tq_sender_->stats();
-  result_.data_tx = s.data_tx - warm_sender_.data_tx;
-  result_.hot_tx = s.hot_tx - warm_sender_.hot_tx;
-  result_.cold_tx = s.cold_tx - warm_sender_.cold_tx;
-  result_.repair_tx = s.repair_tx - warm_sender_.repair_tx;
-  result_.nacks_received = s.nacks_received - warm_sender_.nacks_received;
-  result_.redundant_tx = redundant_tx_;
-  result_.redundant_fraction =
-      result_.data_tx > 0
-          ? static_cast<double>(result_.redundant_tx) /
-                static_cast<double>(result_.data_tx)
-          : 0.0;
-
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t nacks_suppressed = 0;
-  for (const auto& rig : receivers_) {
-    nacks_sent += rig.agent->stats().nacks_sent;
-    nacks_suppressed += rig.agent->stats().suppressed;
-  }
-  result_.nacks_sent = nacks_sent - warm_nacks_sent_;
-  result_.nacks_suppressed = nacks_suppressed;
-
-  const std::uint64_t delivered =
-      data_channel_.stats().delivered - warm_delivered_;
-  // Shared-stage drops count once per receiver (the packet reached nobody).
-  // Warmup-window shared drops are not tracked separately; with warmup a
-  // small fraction of the run, the bias is negligible.
-  const std::uint64_t dropped = data_channel_.stats().dropped -
-                                warm_dropped_ +
-                                shared_drops_ * cfg_.num_receivers;
-  result_.observed_loss =
-      (delivered + dropped) > 0
-          ? static_cast<double>(dropped) /
-                static_cast<double>(delivered + dropped)
-          : 0.0;
-
-  double fb_bytes = 0.0;
-  for (const auto& rig : receivers_) {
-    if (rig.fb_channel) fb_bytes += rig.fb_channel->stats().bytes_sent;
-  }
-  if (mcast_fb_) fb_bytes += mcast_fb_->stats().bytes_sent;
-  result_.offered_fb_kbps =
-      (fb_bytes - warm_fb_bytes_) * 8.0 / cfg_.duration / 1000.0;
-  result_.offered_data_kbps =
-      (data_channel_.stats().bytes_sent - warm_data_bytes_) * 8.0 /
-      cfg_.duration / 1000.0;
-
-  result_.inserts = workload_.inserts();
-  result_.updates = workload_.updates();
-  result_.versions_introduced = monitor_.versions_introduced();
-  result_.versions_received = monitor_.versions_received();
-
-  result_.final_live = pub_.live_count();
-  if (tq_sender_ != nullptr) {
-    result_.final_hot_depth = tq_sender_->hot_depth();
-    result_.final_cold_depth = tq_sender_->cold_depth();
-  } else if (ol_sender_) {
-    result_.final_hot_depth = ol_sender_->queue_depth();
-  }
+  EngineMeasures m;
+  m.avg_consistency = monitor_.average_consistency();
+  m.active_receivers = monitor_.active_receivers();
+  m.latency = &monitor_.latency();
+  m.redundant_tx = redundant_tx_;
+  collector_.fill(result_, tally(), *sender_, workload_, pub_, m);
   return result_;
 }
 
@@ -596,9 +311,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     }
   }
   Experiment exp(cfg);
-  if (cfg.backend == Backend::kHybrid) {
-    exp.attach_fluid_cohort(cfg.fluid_cohort);
-  }
   exp.run_warmup();
   return exp.finish();
 }

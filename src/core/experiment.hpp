@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -121,8 +123,9 @@ struct ExperimentConfig {
   /// into K contiguous blocks, each advanced on its own event queue in
   /// conservative-lookahead epochs (src/core/sharded.*). Results are
   /// bit-identical across shard counts for any supported configuration;
-  /// unsupported combinations (see sharded_supported()) silently fall back
-  /// to the single-queue engine under run_experiment().
+  /// under run_experiment(), unsupported combinations (see
+  /// sharded_supported()) fall back to the single-queue engine and print a
+  /// notice to stderr, once per process for each distinct reason.
   std::size_t shards = 1;
 
   sim::Duration duration = 2000.0;  // measured simulation time
@@ -177,6 +180,134 @@ struct ExperimentResult {
   std::vector<TimelinePoint> timeline;
 };
 
+// ------------------------------------------------- parts both engines share
+// The single-queue Experiment below and the sharded engine (sharded.cpp)
+// schedule events differently but build and read the receiver population,
+// the sender side, and the result the same way, through the types here and
+// the factories in core/rig_build.hpp.
+
+/// One receiver's protocol state plus the switches the fault surface flips.
+struct ReceiverRig {
+  std::unique_ptr<ReceiverTable> table;
+  std::unique_ptr<ReceiverAgent> agent;
+  std::unique_ptr<net::Channel<NackMsg>> fb_channel;  // unicast feedback
+  std::unique_ptr<net::Link<NackMsg>> fb_link;
+  std::unique_ptr<net::HostileChannel<NackMsg>> fb_hostile;
+  net::SwitchableLoss* fwd_switch = nullptr;      // forward data path
+  net::SwitchableLoss* rev_switch = nullptr;      // unicast feedback path
+  net::SwitchableLoss* observe_switch = nullptr;  // multicast overhearing
+  std::size_t mcast_ep = 0;   // endpoint on the shared feedback group
+  bool has_mcast_ep = false;
+  bool partitioned = false;
+  bool active = true;
+};
+
+/// The sender and its forward path up to the data channel: the open-loop
+/// or two-queue sender, the shared (backbone) loss stage, and the optional
+/// hostile forward stage.
+class SenderSide {
+ public:
+  using Sink = std::function<void(const DataMsg&, sim::Bytes)>;
+  using Probe = std::function<void(const DataMsg&)>;
+
+  /// Builds the sender on `sim`. Transmissions that survive the shared
+  /// loss stage (and the hostile stage, when configured) enter `sink`;
+  /// `probe` observes every transmission (the redundancy oracle).
+  SenderSide(const ExperimentConfig& cfg, const sim::Rng& root,
+             sim::Simulator& sim, PublisherTable& pub, Workload& workload,
+             Sink sink, Probe probe);
+
+  SenderSide(const SenderSide&) = delete;
+  SenderSide& operator=(const SenderSide&) = delete;
+
+  [[nodiscard]] const SenderStats& stats() const;
+  /// The NACK consumer; null for the open-loop variant.
+  [[nodiscard]] TwoQueueSender* two_queue() { return two_queue_.get(); }
+
+  void pause() { open_loop_ ? open_loop_->pause() : two_queue_->pause(); }
+  void resume() { open_loop_ ? open_loop_->resume() : two_queue_->resume(); }
+
+  /// Scales the announcement bandwidth to factor * configured mu_data.
+  void set_bandwidth_factor(double factor);
+
+  [[nodiscard]] std::size_t hot_depth() const;  // open loop: its one queue
+  [[nodiscard]] std::size_t cold_depth() const;
+  /// Transmissions the shared loss stage dropped for every receiver.
+  [[nodiscard]] std::uint64_t shared_drops() const { return shared_drops_; }
+
+ private:
+  void transmit(const DataMsg& msg);
+
+  sim::Rate mu_data_;
+  double shared_loss_;
+  sim::Rng shared_rng_;
+  std::uint64_t shared_drops_ = 0;
+  Sink sink_;
+  std::unique_ptr<net::HostileChannel<DataMsg>> hostile_;
+  std::unique_ptr<OpenLoopSender> open_loop_;
+  std::unique_ptr<TwoQueueSender> two_queue_;
+};
+
+/// Cumulative counters over the sender and the whole receiver population,
+/// read at the warm-up cutoff (the baseline) and at the end of the run.
+struct Tally {
+  SenderStats sender;
+  std::uint64_t nacks_sent = 0;
+  std::uint64_t nacks_suppressed = 0;
+  std::uint64_t delivered = 0;  // forward-channel deliveries
+  std::uint64_t dropped = 0;    // forward-channel (leaf) drops
+  double fb_bytes = 0.0;        // feedback offered: unicast, then the group
+  double data_bytes = 0.0;      // data offered
+  std::uint64_t versions_introduced = 0;
+  std::uint64_t versions_received = 0;
+
+  /// Adds one block of receivers with the data channel and monitor they
+  /// attach to. Blocks must come in global receiver order (fb_bytes is a
+  /// plain floating-point sum).
+  void add(const std::vector<ReceiverRig>& rigs,
+           const net::Channel<DataMsg>& data,
+           const ConsistencyMonitor& monitor);
+  /// Adds the shared feedback group's bytes (null: no group).
+  void add_group(const net::Channel<NackMsg>* group);
+};
+
+/// What only the engine can measure when the run ends.
+struct EngineMeasures {
+  double avg_consistency = 0.0;       // E[c] over the discrete receivers
+  std::size_t active_receivers = 0;   // their weight in the hybrid blend
+  stats::Samples* latency = nullptr;  // merged in global receiver order
+  std::uint64_t redundant_tx = 0;
+};
+
+/// The warm-up baseline, the hybrid fluid cohort, and every result field
+/// both engines compute the same way.
+class Collector {
+ public:
+  /// Attaches the fluid cohort when cfg.backend is kHybrid: an aggregate
+  /// mean-field cohort of cfg.fluid_cohort receivers sharing the sender's
+  /// announce stream, advanced in lockstep with simulated time.
+  explicit Collector(const ExperimentConfig& cfg);
+
+  /// At the warm-up cutoff: brings the cohort there, restarts its
+  /// statistics, and records `baseline`.
+  void warm(const Tally& baseline);
+  void advance_cohort(double t);
+  /// NACK packets sent plus repair transmissions (plus the cohort's
+  /// modeled repair flows): the RecoveryTracker traffic counter.
+  [[nodiscard]] double repair_traffic(const Tally& now) const;
+
+  /// Fills `out` from the end-of-run tally and the engine's measures,
+  /// blending the cohort into avg_consistency with population weights.
+  void fill(ExperimentResult& out, const Tally& end, const SenderSide& sender,
+            const Workload& workload, const PublisherTable& pub,
+            const EngineMeasures& engine);
+
+ private:
+  const ExperimentConfig* cfg_;
+  Tally warm_;
+  std::unique_ptr<analysis::FluidIntegrator> fluid_;
+};
+
 /// The experiment rig, held open between run steps so faults can be applied
 /// to the live system. Usage:
 ///
@@ -189,7 +320,8 @@ struct ExperimentResult {
 /// With no mutations between run_warmup() and finish(), the run is
 /// event-for-event identical to run_experiment(cfg): every fault control
 /// path draws from RNG streams of its own, so merely *constructing* the
-/// hooks perturbs nothing.
+/// hooks perturbs nothing. A kHybrid config attaches its fluid cohort at
+/// construction.
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig config);
@@ -208,20 +340,19 @@ class Experiment {
   /// Runs to warmup + duration and collects every metric.
   ExperimentResult finish();
 
-  [[nodiscard]] double now() const;
+  [[nodiscard]] double now() const { return sim_.now(); }
   [[nodiscard]] double end_time() const { return cfg_.warmup + cfg_.duration; }
-  [[nodiscard]] double instantaneous_consistency() const;
-  [[nodiscard]] ConsistencyMonitor& monitor() { return monitor_; }
+  [[nodiscard]] double instantaneous_consistency() const {
+    return monitor_.instantaneous();
+  }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] const ExperimentConfig& config() const { return cfg_; }
 
   // --- live fault hooks (the sst::fault injector drives these) ---
 
   /// Sender crash: announcements stop, the packet in service is lost, and
   /// incoming NACKs fall on deaf ears until restart_sender().
-  void crash_sender();
-  void restart_sender();
-  [[nodiscard]] bool sender_crashed() const;
+  void crash_sender() { sender_->pause(); }
+  void restart_sender() { sender_->resume(); }
 
   /// Partitions receiver `r` from the session (both directions: data in,
   /// feedback out) or heals it.
@@ -235,7 +366,9 @@ class Experiment {
 
   /// Scales the sender's announcement bandwidth to factor * configured
   /// mu_data (bandwidth degradation; 1.0 restores).
-  void set_bandwidth_factor(double factor);
+  void set_bandwidth_factor(double factor) {
+    sender_->set_bandwidth_factor(factor);
+  }
 
   /// Late join: adds a brand-new receiver (empty table) mid-run. Returns its
   /// index. The monitor starts averaging it into c(t) immediately and
@@ -246,46 +379,25 @@ class Experiment {
   /// toward c(t). Irreversible (a rejoin is a new receiver).
   void detach_receiver(std::size_t r);
 
-  [[nodiscard]] std::size_t receiver_count() const { return receivers_.size(); }
   [[nodiscard]] bool receiver_active(std::size_t r) const {
     return receivers_.at(r).active;
+  }
+
+  /// Seconds from receiver r's join until it first caught up (negative
+  /// while still converging).
+  [[nodiscard]] double catch_up_latency(std::size_t r) const {
+    return monitor_.catch_up_latency(r);
   }
 
   /// Cumulative protocol repair effort — NACK packets sent plus repair
   /// transmissions — suitable as a RecoveryTracker traffic counter. With a
   /// fluid cohort attached, includes the cohort's modeled repair flows.
-  [[nodiscard]] double repair_traffic() const;
-
-  /// Attaches an aggregate mean-field cohort of `m` receivers (the hybrid
-  /// population tier). The cohort shares the sender's multicast announce
-  /// stream — its parameters derive from this experiment's config — and is
-  /// advanced in lockstep with simulated time. finish() blends it into
-  /// avg_consistency with population weights m : num_receivers and reports
-  /// its occupancy in the fluid_* result fields. Call before run_warmup().
-  void attach_fluid_cohort(double m);
-
-  [[nodiscard]] const analysis::FluidIntegrator* fluid_cohort() const {
-    return fluid_.get();
+  [[nodiscard]] double repair_traffic() const {
+    return collector_.repair_traffic(tally());
   }
 
  private:
-  struct ReceiverRig {
-    std::unique_ptr<ReceiverTable> table;
-    std::unique_ptr<ReceiverAgent> agent;
-    std::unique_ptr<net::Channel<NackMsg>> fb_channel;  // unicast feedback
-    std::unique_ptr<net::Link<NackMsg>> fb_link;
-    std::unique_ptr<net::HostileChannel<NackMsg>> fb_hostile;
-    net::SwitchableLoss* fwd_switch = nullptr;      // forward data path
-    net::SwitchableLoss* rev_switch = nullptr;      // unicast feedback path
-    net::SwitchableLoss* observe_switch = nullptr;  // multicast overhearing
-    std::size_t mcast_ep = 0;   // endpoint on the shared feedback group
-    bool has_mcast_ep = false;
-    bool partitioned = false;
-    bool active = true;
-  };
-
-  std::size_t add_receiver_rig();  // shared by ctor and add_receiver()
-  void transmit(const DataMsg& msg);
+  void deliver_nack(const NackMsg& nack);
   void count_redundant(const DataMsg& msg);
   /// Entry point into the shared feedback group. Same-instant sends are
   /// stashed and flushed at the end of the instant in canonical content
@@ -293,13 +405,12 @@ class Experiment {
   /// consumes one loss/delay draw per NACK in group-entry order, so the
   /// order at an exact tie must be one the sharded engine's cross-shard
   /// drain can reproduce without the global event queue.
-  void group_nack_send(const NackMsg& nack, sim::Bytes size);
+  void group_nack_send(const NackMsg& nack);
+  [[nodiscard]] Tally tally() const;
 
   ExperimentConfig cfg_;
   sim::Simulator sim_;
   sim::Rng root_;
-  bool feedback_ = false;
-  double nack_loss_ = 0.0;
 
   PublisherTable pub_;
   // Construction order fixes listener order: monitor sees changes first, so
@@ -307,35 +418,19 @@ class Experiment {
   ConsistencyMonitor monitor_;
   Workload workload_;
   net::Channel<DataMsg> data_channel_;
-  std::unique_ptr<net::HostileChannel<DataMsg>> fwd_hostile_;
   std::unique_ptr<net::Channel<NackMsg>> mcast_fb_;
-  std::vector<std::pair<NackMsg, sim::Bytes>> pending_group_;  // see group_nack_send
+  std::vector<NackMsg> pending_group_;  // see group_nack_send
   std::vector<ReceiverRig> receivers_;
+  // Built after the receivers and the oracle-removal listener, whose
+  // publisher-listener slots come first.
+  std::optional<SenderSide> sender_;
 
-  std::unique_ptr<OpenLoopSender> ol_sender_;
-  std::unique_ptr<TwoQueueSender> tq_sender_owned_;
-  TwoQueueSender* tq_sender_ = nullptr;
-
-  sim::Rng shared_rng_;
-  std::uint64_t shared_drops_ = 0;
   std::uint64_t redundant_tx_ = 0;
-  sim::Rate base_mu_;
-
-  // Warm-up baselines (subtracted at collection).
-  bool warmed_up_ = false;
-  SenderStats warm_sender_;
-  std::uint64_t warm_nacks_sent_ = 0;
-  std::uint64_t warm_delivered_ = 0;
-  std::uint64_t warm_dropped_ = 0;
-  double warm_fb_bytes_ = 0.0;
-  double warm_data_bytes_ = 0.0;
+  Collector collector_;
 
   std::unique_ptr<sim::PeriodicTimer> sampler_;
   double last_integral_ = 0.0;
   ExperimentResult result_;
-
-  std::unique_ptr<analysis::FluidIntegrator> fluid_;  // hybrid cohort tier
-  double fluid_m_ = 0.0;
 };
 
 /// Maps an experiment configuration onto the mean-field model's parameter

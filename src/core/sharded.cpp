@@ -1,9 +1,11 @@
 // sharded.cpp — the sharded conservative-lookahead engine (see sharded.hpp).
 //
-// Bit-identity ground rules, mirrored from the single-queue engine:
-//   * Every RNG stream is root_.fork(tag, index) with the SAME tags and
-//     indices as Experiment — fork() is pure, so WHERE a stream is consumed
-//     (root or shard) never changes its draws.
+// Only the scheduling is this file's own: receivers, the sender side, the
+// fault surface over a rig, and the result filling are the single-queue
+// engine's code (core/rig_build.hpp). Bit-identity ground rules:
+//   * Every RNG stream is root_.fork(tag, index) with the same tags and
+//     GLOBAL receiver indices as Experiment — fork() is pure, so WHERE a
+//     stream is consumed (root or shard) never changes its draws.
 //   * Shards own contiguous receiver blocks, so visiting shards in index
 //     order visits receivers in global index order; every cross-shard
 //     reduction below (integral sums, latency merge, byte totals) walks that
@@ -33,6 +35,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,26 +72,6 @@ struct RootEvent {
   std::size_t nack_rec = 0;               // kNack: observing receiver (global)
 };
 
-/// One receiver's worth of shard-local protocol state (the sharded analogue
-/// of Experiment::ReceiverRig, including the fault-injection hooks: the
-/// switch pointers are flipped by the coordinator at barrier instants).
-struct ShardRig {
-  std::unique_ptr<ReceiverTable> table;
-  std::unique_ptr<ReceiverAgent> agent;
-  std::unique_ptr<net::Channel<NackMsg>> fb_channel;  // unicast feedback
-  std::unique_ptr<net::Link<NackMsg>> fb_link;
-  std::unique_ptr<net::HostileChannel<NackMsg>> fb_hostile;
-  // Fault surface (mirrors ReceiverRig): loss switches on the forward,
-  // unicast-reverse, and multicast-observe paths, plus membership state.
-  net::SwitchableLoss* fwd_switch = nullptr;
-  net::SwitchableLoss* rev_switch = nullptr;
-  net::SwitchableLoss* observe_switch = nullptr;
-  std::size_t mcast_ep = 0;   // observe endpoint on the root-hosted group
-  bool has_mcast_ep = false;
-  bool partitioned = false;
-  bool active = true;
-};
-
 /// Everything one worker thread owns. Heap-allocated so addresses captured
 /// by protocol lambdas (mailbox, channels) survive container growth.
 ///
@@ -104,7 +87,7 @@ struct Shard {
   sim::Simulator sim SST_SHARD_LOCAL;
   ConsistencyMonitor monitor SST_SHARD_LOCAL;  // fed by the epoch log
   net::Channel<DataMsg> data SST_SHARD_LOCAL;  // shard's data-channel slice
-  std::vector<ShardRig> rigs SST_SHARD_LOCAL;  // local order == global order
+  std::vector<ReceiverRig> rigs SST_SHARD_LOCAL;  // local == global order
   sim::SpscMailbox<NackMsg> mailbox;  // worker -> root NACK lane (role-split)
   std::vector<std::uint8_t> probe_holds SST_SHARD_LOCAL;  // local AND verdicts
   std::size_t log_cursor SST_SHARD_LOCAL = 0;
@@ -131,25 +114,34 @@ class ShardedEngine {
     warmup_hook_ = std::move(hook);
   }
 
-  // Fault surface, mirroring core::Experiment's. Coordinator context only:
-  // between barriers (fault hooks fire at fence-snapped instants on rsim_,
-  // or before/after run()), where the caller holds the root role and — with
-  // every worker parked — the shard role too.
-  void crash_sender() SST_REQUIRES_COORDINATOR;
-  void restart_sender() SST_REQUIRES_COORDINATOR;
+  // Fault surface (core::Experiment's, over the shared rig functions).
+  // Coordinator context only: between barriers (fault hooks fire at
+  // fence-snapped instants on rsim_, or before/after run()), where the
+  // caller holds the root role and — with every worker parked — the shard
+  // role too.
+  void crash_sender() SST_REQUIRES_COORDINATOR { sender_->pause(); }
+  void restart_sender() SST_REQUIRES_COORDINATOR { sender_->resume(); }
   void set_partition(std::size_t r, bool down) SST_REQUIRES_COORDINATOR;
   void set_partition_all(bool down) SST_REQUIRES_COORDINATOR;
   void set_extra_loss(std::size_t r, double p) SST_REQUIRES_COORDINATOR;
   void set_extra_loss_all(double p) SST_REQUIRES_COORDINATOR;
-  void set_bandwidth_factor(double factor) SST_REQUIRES_COORDINATOR;
+  void set_bandwidth_factor(double factor) SST_REQUIRES_COORDINATOR {
+    sender_->set_bandwidth_factor(factor);
+  }
   std::size_t add_receiver() SST_REQUIRES_COORDINATOR;
   void detach_receiver(std::size_t r) SST_REQUIRES_COORDINATOR;
   [[nodiscard]] double instantaneous_consistency() const
-      SST_REQUIRES_COORDINATOR;
-  [[nodiscard]] double repair_traffic() const SST_REQUIRES_COORDINATOR;
+      SST_REQUIRES_COORDINATOR {
+    return global_instantaneous();
+  }
+  [[nodiscard]] double repair_traffic() const SST_REQUIRES_COORDINATOR {
+    return collector_.repair_traffic(tally());
+  }
   [[nodiscard]] double catch_up_latency(std::size_t r) const
-      SST_REQUIRES_COORDINATOR;
-  [[nodiscard]] std::size_t receiver_count() const SST_REQUIRES_COORDINATOR;
+      SST_REQUIRES_COORDINATOR {
+    const auto [s, i] = locate_.at(r);
+    return shards_[s]->monitor.catch_up_latency(i);
+  }
 
  private:
   /// What the workers read each epoch (published before the start barrier).
@@ -166,7 +158,7 @@ class ShardedEngine {
   // shard role — the coordinator adopts it between barriers, while the
   // workers are parked.
   void build_rig(Shard& sh, std::size_t r);
-  void root_transmit(const DataMsg& msg) SST_REQUIRES_ROOT SST_REQUIRES_FENCE;
+  [[nodiscard]] ReceiverRig& rig_at(std::size_t r) SST_REQUIRES_COORDINATOR;
   void append_data(const DataMsg& msg, sim::Bytes size) SST_REQUIRES_ROOT
       SST_REQUIRES_FENCE;
   void append_probe(const DataMsg& msg) SST_REQUIRES_ROOT SST_REQUIRES_FENCE;
@@ -174,7 +166,7 @@ class ShardedEngine {
   void worker_epoch(std::size_t s) SST_REQUIRES_SHARD
       SST_REQUIRES_FENCE_SHARED;
   void warm_reset() SST_REQUIRES_ROOT SST_REQUIRES_SHARD;
-  [[nodiscard]] const SenderStats& sender_stats() const SST_REQUIRES_ROOT;
+  [[nodiscard]] Tally tally() const SST_REQUIRES_ROOT SST_REQUIRES_SHARD;
   // Segmented global E[c] mirror (the single monitor's closed_/ckpt/seg_start
   // machinery lifted to the cross-shard reduction): ∫c dt over the OPEN
   // segment, the closed+open total, and the segment close performed at every
@@ -191,13 +183,10 @@ class ShardedEngine {
   // Immutable after construction: readable from any role without a guard.
   ExperimentConfig cfg_;
   sim::Rng root_;  // stream forking (construction and late joins)
-  bool feedback_ = false;
-  double nack_loss_ = 0.0;
 
   PublisherTable pub_ SST_ROOT_ONLY;
   sim::Simulator rsim_ SST_ROOT_ONLY;  // the root executor's event queue
   std::unique_ptr<Workload> workload_ SST_ROOT_ONLY;
-  std::unique_ptr<net::HostileChannel<DataMsg>> fwd_hostile_ SST_ROOT_ONLY;
 
   // Multicast feedback group, root-hosted. The carrier simulator exists only
   // to hold the group's clock at each replayed send instant (it never runs
@@ -214,14 +203,7 @@ class ShardedEngine {
   // which append to the LAST shard so global order stays contiguous.
   std::vector<std::pair<std::size_t, std::size_t>> locate_ SST_ROOT_ONLY;
 
-  std::unique_ptr<OpenLoopSender> ol_sender_ SST_ROOT_ONLY;
-  std::unique_ptr<TwoQueueSender> tq_sender_ SST_ROOT_ONLY;
-
-  sim::Rng shared_rng_ SST_ROOT_ONLY;
-  std::uint64_t shared_drops_ SST_ROOT_ONLY = 0;
-  // Root-side mirror of the single engine's aggregate channel byte counter:
-  // accumulated with the same plain += in the same send order.
-  double data_bytes_ SST_ROOT_ONLY = 0.0;
+  std::optional<SenderSide> sender_ SST_ROOT_ONLY;
 
   // Epoch inputs: written by the root between barriers (exclusive fence),
   // read by every worker during an epoch (shared fence) — the annotations
@@ -235,18 +217,11 @@ class ShardedEngine {
   std::vector<double> extra_specials_ SST_ROOT_ONLY;
   std::function<void()> warmup_hook_ SST_ROOT_ONLY;
 
-  std::unique_ptr<analysis::FluidIntegrator> fluid_ SST_ROOT_ONLY;
-  double fluid_m_ = 0.0;  // frozen after construction
-
-  // Warm-up baselines (subtracted at collection), captured at the warm-up
-  // barrier exactly as the single engine captures them after run_warmup().
+  // Warm-up baseline and hybrid cohort; the baseline is captured at the
+  // warm-up barrier exactly as the single engine captures it after
+  // run_warmup().
+  Collector collector_ SST_ROOT_ONLY;
   bool warmed_ SST_ROOT_ONLY = false;
-  SenderStats warm_sender_ SST_ROOT_ONLY;
-  std::uint64_t warm_nacks_sent_ SST_ROOT_ONLY = 0;
-  std::uint64_t warm_delivered_ SST_ROOT_ONLY = 0;
-  std::uint64_t warm_dropped_ SST_ROOT_ONLY = 0;
-  double warm_fb_bytes_ SST_ROOT_ONLY = 0.0;
-  double warm_data_bytes_ SST_ROOT_ONLY = 0.0;
 
   // Segmented global E[c] accumulator, mirroring ConsistencyMonitor's
   // closed_/ckpt/seg_start_ machinery across shards: g_closed_ holds ∫c dt
@@ -279,11 +254,8 @@ ShardedEngine::ShardedEngine(const ExperimentConfig& cfg,
                              std::vector<double> extra_specials)
     : cfg_(cfg),
       root_(cfg_.seed),
-      feedback_(cfg_.variant == Variant::kFeedback),
-      nack_loss_(cfg_.nack_loss_rate < 0 ? cfg_.loss_rate
-                                         : cfg_.nack_loss_rate),
-      shared_rng_(root_.fork("shared-loss")),
-      extra_specials_(std::move(extra_specials)) {
+      extra_specials_(std::move(extra_specials)),
+      collector_(cfg_) {
   // The epoch-log appender takes the monitor's subscription slot (first):
   // shards replay each change into their monitors before anything else
   // reacts, preserving the single engine's listener order.
@@ -303,27 +275,16 @@ ShardedEngine::ShardedEngine(const ExperimentConfig& cfg,
   workload_ = std::make_unique<Workload>(rsim_, pub_, cfg_.workload,
                                          root_.fork("workload"));
 
-  if (cfg_.fwd_hostile.active()) {
-    fwd_hostile_ = std::make_unique<net::HostileChannel<DataMsg>>(
-        rsim_, cfg_.fwd_hostile, root_.fork("hostile-fwd"),
-        [this](const DataMsg& msg, sim::Bytes size) {
-          // Hostile-channel delivery runs on the root simulator between
-          // barriers: root role + exclusive fence, like every root event.
-          check::root_role.assert_held();
-          check::epoch_fence.assert_held();
-          append_data(msg, size);
-        });
-  }
-
   // Multicast feedback: the shared group lives on the root side (every
   // receiver couples through it), carried by gsim_ so each replayed send
   // draws its per-endpoint loss and delay at the exact instant the single
   // engine's group->send did. Endpoint 0 is the sender, as in Experiment;
   // the per-receiver observe endpoints follow in build_rig order.
-  if (feedback_ && cfg_.multicast_feedback) {
+  if (cfg_.variant == Variant::kFeedback && cfg_.multicast_feedback) {
     mcast_fb_ = std::make_unique<net::Channel<NackMsg>>(gsim_);
     mcast_fb_->add_remote_receiver(
-        rig::make_loss(cfg_, nack_loss_, root_.fork("nack-loss-sender"),
+        rig::make_loss(cfg_, rig::nack_loss(cfg_),
+                       root_.fork("nack-loss-sender"),
                        root_.fork("switch-nack-sender")),
         rig::make_delay(cfg_, root_.fork("nack-delay-sender")),
         [this](const NackMsg& nack, sim::SimTime arrival) {
@@ -335,7 +296,9 @@ ShardedEngine::ShardedEngine(const ExperimentConfig& cfg,
             // exclusive fence, like every root event.
             check::root_role.assert_held();
             check::epoch_fence.assert_held();
-            if (tq_sender_) tq_sender_->handle_nack(nack);
+            if (TwoQueueSender* tq = sender_->two_queue()) {
+              tq->handle_nack(nack);
+            }
           });
         });
   }
@@ -356,47 +319,21 @@ ShardedEngine::ShardedEngine(const ExperimentConfig& cfg,
   g_active_ = locate_.size();
   g_ckpt_.assign(locate_.size(), 0.0);
 
-  // Sender transmit/probe hooks all fire on the root simulator between
-  // barriers (the sender's service process lives there): root role +
+  // The sender's transmissions and probes fire on the root simulator
+  // between barriers (its service process lives there): root role +
   // exclusive fence, per the epoch protocol.
-  if (cfg_.variant == Variant::kOpenLoop) {
-    ol_sender_ = std::make_unique<OpenLoopSender>(
-        rsim_, pub_, *workload_, cfg_.mu_data, [this](const DataMsg& msg) {
-          check::root_role.assert_held();
-          check::epoch_fence.assert_held();
-          root_transmit(msg);
-        });
-    ol_sender_->on_transmit([this](const DataMsg& m) {
-      check::root_role.assert_held();
-      check::epoch_fence.assert_held();
-      append_probe(m);
-    });
-  } else {
-    TwoQueueConfig tq;
-    tq.mu_data = cfg_.mu_data;
-    tq.hot_share = cfg_.hot_share;
-    tq.feedback = feedback_;
-    tq_sender_ = std::make_unique<TwoQueueSender>(
-        rsim_, pub_, *workload_, tq,
-        rig::make_scheduler(cfg_.scheduler, root_.fork("sched")),
-        [this](const DataMsg& msg) {
-          check::root_role.assert_held();
-          check::epoch_fence.assert_held();
-          root_transmit(msg);
-        });
-    tq_sender_->on_transmit([this](const DataMsg& m) {
-      check::root_role.assert_held();
-      check::epoch_fence.assert_held();
-      append_probe(m);
-    });
-  }
-
-  if (cfg_.backend == Backend::kHybrid) {
-    analysis::FluidParams fp = fluid_params_from(cfg_);
-    fp.cohort = cfg_.fluid_cohort;
-    fluid_m_ = cfg_.fluid_cohort;
-    fluid_ = std::make_unique<analysis::FluidIntegrator>(fp);
-  }
+  sender_.emplace(
+      cfg_, root_, rsim_, pub_, *workload_,
+      [this](const DataMsg& msg, sim::Bytes size) {
+        check::root_role.assert_held();
+        check::epoch_fence.assert_held();
+        append_data(msg, size);
+      },
+      [this](const DataMsg& msg) {
+        check::root_role.assert_held();
+        check::epoch_fence.assert_held();
+        append_probe(msg);
+      });
 
   workload_->start();
 }
@@ -411,171 +348,67 @@ void ShardedEngine::build_rig(Shard& sh, std::size_t r) {
   check::root_role.assert_held();
   check::shard_role.assert_held();
 
-  // Mirrors Experiment::add_receiver_rig with every stream forked under the
-  // receiver's GLOBAL index r; components live on the shard's simulator,
-  // except the feedback far ends: the unicast NACK channel's sender side is
-  // a remote endpoint feeding the shard's mailbox, and the multicast
-  // group's endpoints live on the root-hosted group (observe deliveries
-  // return through the epoch log).
-  ShardRig rig;
-  rig.table = std::make_unique<ReceiverTable>(sh.sim, cfg_.receiver_ttl);
-  sh.monitor.attach(*rig.table);
-
-  if (feedback_ && !cfg_.multicast_feedback) {
-    rig.fb_channel = std::make_unique<net::Channel<NackMsg>>(sh.sim);
-    auto rev_loss =
-        rig::make_loss(cfg_, nack_loss_, root_.fork("nack-loss", r),
-                       root_.fork("switch-nack", r));
-    rig.rev_switch = rev_loss.get();
-    sim::SpscMailbox<NackMsg>* mailbox = &sh.mailbox;
-    rig.fb_channel->add_remote_receiver(
-        std::move(rev_loss),
-        rig::make_delay(cfg_, root_.fork("nack-delay", r)),
-        [mailbox](const NackMsg& nack, sim::SimTime arrival) {
-          // The feedback channel lives on the shard's simulator, so this
-          // delivery runs inside the owning worker's epoch phase — exactly
-          // the producer side of the mailbox's SPSC contract.
-          check::shard_role.assert_held();
-          mailbox->push(arrival, nack);
-        });
-    net::Channel<NackMsg>* chan = rig.fb_channel.get();
-    if (cfg_.fb_hostile.active()) {
-      rig.fb_hostile = std::make_unique<net::HostileChannel<NackMsg>>(
-          sh.sim, cfg_.fb_hostile, root_.fork("hostile-fb", r),
-          [chan](const NackMsg& nack, sim::Bytes size) {
-            chan->send(nack, size);
-          });
-    }
-    net::HostileChannel<NackMsg>* hostile = rig.fb_hostile.get();
-    rig.fb_link = std::make_unique<net::Link<NackMsg>>(
-        sh.sim, cfg_.mu_fb,
-        [chan, hostile](const NackMsg& nack, sim::Bytes size) {
-          if (hostile != nullptr) {
-            hostile->send(nack, size);
-          } else {
-            chan->send(nack, size);
-          }
-        },
-        /*queue_limit=*/8);
-  }
-
-  ReceiverConfig rcfg = cfg_.receiver;
-  rcfg.feedback = feedback_;
-  if (cfg_.multicast_feedback) {
-    // Uplink into the shared group: tag the NACK with its origin and cross
-    // the mailbox lane; the coordinator replays the send on the root-hosted
-    // group at this exact instant. Captures are by Shard pointer + local
-    // index (the rigs vector reallocates on late joins; Shard is
-    // heap-stable).
-    Shard* shp = &sh;
-    const std::size_t local = sh.rigs.size();
-    const bool has_group = mcast_fb_ != nullptr;
-    const auto origin = static_cast<std::uint32_t>(r + 1);
-    if (cfg_.fb_hostile.active()) {
-      // Each receiver's uplink into the shared group gets its own hostile
-      // stage (independent streams), feeding the mailbox past it.
-      rig.fb_hostile = std::make_unique<net::HostileChannel<NackMsg>>(
-          sh.sim, cfg_.fb_hostile, root_.fork("hostile-fb", r),
-          [shp](const NackMsg& nack, sim::Bytes size) {
-            // Hostile delivery runs on the shard's simulator inside the
-            // owning worker's epoch phase — the mailbox's producer side.
-            check::shard_role.assert_held();
-            // Hostile stages preserve the wire size (nack.size); the group
-            // replay re-sends it from the payload.
-            static_cast<void>(size);
-            shp->mailbox.push(shp->sim.now(), nack);
-          });
-    }
-    net::HostileChannel<NackMsg>* hostile = rig.fb_hostile.get();
-    rig.agent = std::make_unique<ReceiverAgent>(
-        sh.sim, *rig.table, rcfg,
-        [shp, local, hostile, origin, has_group](const NackMsg& nack) {
-          // Agent NACK emission runs on the shard's simulator inside the
-          // owning worker's epoch phase — the mailbox's producer side.
-          check::shard_role.assert_held();
-          // A partitioned receiver's uplink is down too.
-          if (!has_group || shp->rigs[local].partitioned) return;
-          NackMsg tagged = nack;
-          tagged.origin = origin;
-          if (hostile != nullptr) {
-            hostile->send(tagged, tagged.size);
-          } else {
-            shp->mailbox.push(shp->sim.now(), tagged);
-          }
-        },
-        root_.fork("agent", r));
-  } else {
-    net::Link<NackMsg>* link = feedback_ ? rig.fb_link.get() : nullptr;
-    rig.agent = std::make_unique<ReceiverAgent>(
-        sh.sim, *rig.table, rcfg,
-        [link](const NackMsg& nack) {
-          if (link != nullptr) link->send(nack, nack.size);
-        },
-        root_.fork("agent", r));
-  }
-
-  const double fwd_loss = r < cfg_.receiver_loss_rates.size()
-                              ? cfg_.receiver_loss_rates[r]
-                              : cfg_.loss_rate;
-  ReceiverAgent* agent = rig.agent.get();
-  if (feedback_ && cfg_.multicast_feedback) {
-    // This receiver also overhears the group's NACK traffic: a remote
-    // endpoint on the root-hosted group draws the same loss and delay as
-    // the single engine's local endpoint, then routes the overheard copy
-    // back to the owning shard through the epoch log.
-    const auto origin = static_cast<std::uint32_t>(r + 1);
-    auto obs_loss = rig::make_loss(cfg_, nack_loss_,
-                                   root_.fork("nack-observe-loss", r),
-                                   root_.fork("switch-observe", r));
-    rig.observe_switch = obs_loss.get();
-    rig.mcast_ep = mcast_fb_->add_remote_receiver(
-        std::move(obs_loss),
-        rig::make_delay(cfg_, root_.fork("nack-observe-delay", r)),
-        [this, origin, r](const NackMsg& nack, sim::SimTime arrival) {
-          // Group replay runs on the coordinator between barriers
-          // (drain_nacks): root role, sole writer of the root queue.
-          check::root_role.assert_held();
-          if (nack.origin == origin) return;
-          rsim_.at(arrival, [this, nack, r] {
-            // Fires on the root simulator between barriers, where the
-            // coordinator holds the epoch fence exclusively (log writer).
-            check::root_role.assert_held();
-            check::epoch_fence.assert_held();
-            RootEvent e;
-            e.kind = RootEvent::Kind::kNack;
-            e.time = rsim_.now();
-            e.nack = nack;
-            e.nack_rec = r;
-            log_.push_back(std::move(e));
-          });
-        });
-    rig.has_mcast_ep = true;
-  }
-  auto fwd = rig::make_loss(cfg_, fwd_loss, root_.fork("loss", r),
-                            root_.fork("switch-loss", r));
-  rig.fwd_switch = fwd.get();
-  sh.data.add_receiver(std::move(fwd),
-                       rig::make_delay(cfg_, root_.fork("delay", r)),
-                       [agent](const DataMsg& msg) { agent->handle(msg); });
-
-  sh.rigs.push_back(std::move(rig));
+  // The receiver lives on the shard's simulator; its feedback far ends
+  // cross the shard boundary. Unicast NACKs and group uplinks enter the
+  // shard's mailbox (the coordinator replays group sends on the root-hosted
+  // group at their exact send instants), and the observe endpoint is a
+  // remote endpoint on that group whose overheard copies return to the
+  // owning shard through the epoch log.
+  Shard* shp = &sh;
+  rig::build_receiver(
+      cfg_, root_, rig::Block{sh.sim, sh.monitor, sh.data, sh.rigs}, r,
+      [shp](const NackMsg& nack) {
+        // Group uplinks run on the shard's simulator inside the owning
+        // worker's epoch phase — the mailbox's producer side.
+        check::shard_role.assert_held();
+        shp->mailbox.push(shp->sim.now(), nack);
+      },
+      [shp](net::Channel<NackMsg>& channel,
+            std::unique_ptr<net::LossModel> loss,
+            std::unique_ptr<net::DelayModel> delay) {
+        channel.add_remote_receiver(
+            std::move(loss), std::move(delay),
+            [shp](const NackMsg& nack, sim::SimTime arrival) {
+              // The feedback channel lives on the shard's simulator, so
+              // this delivery runs inside the owning worker's epoch phase —
+              // exactly the producer side of the mailbox's SPSC contract.
+              check::shard_role.assert_held();
+              shp->mailbox.push(arrival, nack);
+            });
+      },
+      [this, r](std::unique_ptr<net::LossModel> loss,
+                std::unique_ptr<net::DelayModel> delay,
+                ReceiverAgent* /*agent*/, std::uint32_t origin) {
+        return mcast_fb_->add_remote_receiver(
+            std::move(loss), std::move(delay),
+            [this, origin, r](const NackMsg& nack, sim::SimTime arrival) {
+              // Group replay runs on the coordinator between barriers
+              // (drain_nacks): root role, sole writer of the root queue.
+              check::root_role.assert_held();
+              if (nack.origin == origin) return;
+              rsim_.at(arrival, [this, nack, r] {
+                // Fires on the root simulator between barriers, where the
+                // coordinator holds the epoch fence exclusively (log
+                // writer).
+                check::root_role.assert_held();
+                check::epoch_fence.assert_held();
+                RootEvent e;
+                e.kind = RootEvent::Kind::kNack;
+                e.time = rsim_.now();
+                e.nack = nack;
+                e.nack_rec = r;
+                log_.push_back(std::move(e));
+              });
+            });
+      });
 }
 
-void ShardedEngine::root_transmit(const DataMsg& msg) {
-  if (cfg_.shared_loss_rate > 0 &&
-      shared_rng_.bernoulli(cfg_.shared_loss_rate)) {
-    ++shared_drops_;
-    return;
-  }
-  if (fwd_hostile_ != nullptr) {
-    fwd_hostile_->send(msg, msg.size);
-  } else {
-    append_data(msg, msg.size);
-  }
+ReceiverRig& ShardedEngine::rig_at(std::size_t r) {
+  const auto [s, i] = locate_.at(r);
+  return shards_[s]->rigs[i];
 }
 
 void ShardedEngine::append_data(const DataMsg& msg, sim::Bytes size) {
-  data_bytes_ += size;
   RootEvent e;
   e.kind = RootEvent::Kind::kData;
   e.time = rsim_.now();
@@ -594,7 +427,7 @@ void ShardedEngine::append_probe(const DataMsg& msg) {
 }
 
 void ShardedEngine::drain_nacks() {
-  if (!feedback_) return;
+  if (cfg_.variant != Variant::kFeedback) return;
   batch_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     scratch_.clear();
@@ -616,6 +449,26 @@ void ShardedEngine::drain_nacks() {
               if (a.shard != b.shard) return a.shard < b.shard;
               return a.seq < b.seq;
             });
+#if SST_CHECK_ENABLED
+  {
+    // Conservative-horizon audit. A NACK first influences anyone at its
+    // arrival: `due` itself on the unicast lane, and no earlier than
+    // due + delay on the multicast lane, where `due` is the SEND instant on
+    // the group. A first influence before the root clock would mean an
+    // epoch outran the (damping-aware) lookahead bound.
+    const double lead = mcast_fb_ ? cfg_.delay : 0.0;
+    check::Violations v;
+    for (const auto& p : batch_) {
+      if (p.due + lead < rsim_.now()) {
+        v.push_back("NACK due " + std::to_string(p.due) +
+                    " influences before the root clock " +
+                    std::to_string(rsim_.now()) +
+                    " (conservative lookahead violated)");
+      }
+    }
+    check::report("ShardedEngine", v);
+  }
+#endif
   if (mcast_fb_) {
     // Same-due sends must enter the group in the single engine's canonical
     // content order (Experiment::group_nack_send): every observe endpoint
@@ -629,24 +482,6 @@ void ShardedEngine::drain_nacks() {
                        if (a.due != b.due) return a.due < b.due;
                        return nack_content_less(a.nack, b.nack);
                      });
-#if SST_CHECK_ENABLED
-    {
-      // Conservative-horizon audit, multicast lane: `due` is the SEND
-      // instant on the group, whose first influence is its earliest
-      // arrival, due + delay. A first influence before the root clock
-      // would mean an epoch outran the damping-aware lookahead.
-      check::Violations v;
-      for (const auto& p : batch_) {
-        if (p.due + cfg_.delay < rsim_.now()) {
-          v.push_back("group NACK sent at " + std::to_string(p.due) +
-                      " influences before the root clock " +
-                      std::to_string(rsim_.now()) +
-                      " (conservative lookahead violated)");
-        }
-      }
-      check::report("ShardedEngine", v);
-    }
-#endif
     for (auto& p : batch_) {
       // Replay the uplink send at its exact send instant: the carrier
       // clock parks at `due`, so every endpoint's loss and delay draws
@@ -657,23 +492,7 @@ void ShardedEngine::drain_nacks() {
     }
     return;
   }
-#if SST_CHECK_ENABLED
-  {
-    // Conservative-horizon audit: a drained NACK due before the root's
-    // clock would mean an epoch outran the lookahead bound.
-    check::Violations v;
-    for (const auto& p : batch_) {
-      if (p.due < rsim_.now()) {
-        v.push_back("NACK due " + std::to_string(p.due) +
-                    " is before the root clock " +
-                    std::to_string(rsim_.now()) +
-                    " (conservative lookahead violated)");
-      }
-    }
-    check::report("ShardedEngine", v);
-  }
-#endif
-  TwoQueueSender* sender = tq_sender_.get();
+  TwoQueueSender* sender = sender_->two_queue();
   for (auto& p : batch_) {
     rsim_.at(p.due, [sender, nack = std::move(p.nack)] {
       sender->handle_nack(nack);
@@ -701,19 +520,9 @@ void ShardedEngine::worker_epoch(std::size_t s) {
       case RootEvent::Kind::kData:
         sh.data.send(e.msg, e.size);
         break;
-      case RootEvent::Kind::kProbe: {
-        bool held = true;
-        for (const auto& rg : sh.rigs) {
-          if (!rg.active) continue;  // detached receivers leave the oracle
-          const auto* entry = rg.table->find(e.msg.key);
-          if (entry == nullptr || entry->version < e.msg.version) {
-            held = false;
-            break;
-          }
-        }
-        sh.probe_holds.push_back(held ? std::uint8_t{1} : std::uint8_t{0});
+      case RootEvent::Kind::kProbe:
+        sh.probe_holds.push_back(rig::all_hold(sh.rigs, e.msg) ? 1 : 0);
         break;
-      }
       case RootEvent::Kind::kNack:
         // Overheard group NACK: only the owning shard applies it (a stopped
         // agent ignores it, matching the single engine's detach semantics).
@@ -739,10 +548,6 @@ void ShardedEngine::warm_reset() {
   // cfg_.warmup, so each monitor's reset_stats() pins the same reset time
   // the single engine records.
   warmed_ = true;
-  if (fluid_) {
-    fluid_->advance(cfg_.warmup);
-    fluid_->reset_stats();
-  }
   for (auto& sh : shards_) sh->monitor.reset_stats();
   // Segmented-mirror restart: the per-shard monitors just reset their raw
   // integrals, so every checkpoint returns to zero and no segment is
@@ -750,31 +555,21 @@ void ShardedEngine::warm_reset() {
   g_closed_.reset();
   std::fill(g_ckpt_.begin(), g_ckpt_.end(), 0.0);
   g_seg_start_ = rsim_.now();
-  warm_sender_ = sender_stats();
-  warm_nacks_sent_ = 0;
-  for (const auto& sh : shards_) {
-    for (const auto& rg : sh->rigs) {
-      warm_nacks_sent_ += rg.agent->stats().nacks_sent;
-    }
-  }
-  warm_delivered_ = 0;
-  warm_dropped_ = 0;
-  for (const auto& sh : shards_) {
-    warm_delivered_ += sh->data.stats().delivered;
-    warm_dropped_ += sh->data.stats().dropped;
-  }
-  warm_fb_bytes_ = 0.0;
-  for (const auto& sh : shards_) {
-    for (const auto& rg : sh->rigs) {
-      if (rg.fb_channel) warm_fb_bytes_ += rg.fb_channel->stats().bytes_sent;
-    }
-  }
-  if (mcast_fb_) warm_fb_bytes_ += mcast_fb_->stats().bytes_sent;
-  warm_data_bytes_ = data_bytes_;
+  collector_.warm(tally());
+  // The sharded mirror of "after run_warmup()": statistics just reset, every
+  // clock parked exactly at the cutoff — where the fault driver arms its
+  // timeline.
+  if (warmup_hook_) warmup_hook_();
 }
 
-const SenderStats& ShardedEngine::sender_stats() const {
-  return ol_sender_ ? ol_sender_->stats() : tq_sender_->stats();
+Tally ShardedEngine::tally() const {
+  // Shards visited in index order visit receivers in global order, so the
+  // floating-point byte sums match the single engine's term for term.
+  Tally t;
+  t.sender = sender_->stats();
+  for (const auto& sh : shards_) t.add(sh->rigs, sh->data, sh->monitor);
+  t.add_group(mcast_fb_.get());
+  return t;
 }
 
 double ShardedEngine::open_global_integral(double now) {
@@ -876,10 +671,7 @@ ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
 
   // Degenerate warm-up (warmup <= 0): reset baselines before any event runs,
   // like run_warmup() at time zero.
-  if (!(cfg_.warmup > 0.0)) {
-    warm_reset();
-    if (warmup_hook_) warmup_hook_();
-  }
+  if (!(cfg_.warmup > 0.0)) warm_reset();
 
   // Audited shard-worker capture: worker_epoch(s) reads the engine's
   // published epoch inputs (log_, plan_) and writes only shard s's own
@@ -978,13 +770,7 @@ ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
         }
       }
     }
-    if (!warmed_ && b.time == cfg_.warmup) {
-      warm_reset();
-      // The sharded mirror of "after run_warmup()": statistics just reset,
-      // every clock parked exactly at the cutoff — where the fault driver
-      // arms its timeline.
-      if (warmup_hook_) warmup_hook_();
-    }
+    if (!warmed_ && b.time == cfg_.warmup) warm_reset();
     if (next_sample < samples.size() && b.time == samples[next_sample]) {
       ++next_sample;
       const double integral = global_consistency_integral(b.time);
@@ -994,35 +780,18 @@ ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
     }
     last = b.time;
   }
-  if (!warmed_) {
-    warm_reset();  // empty timetable (end <= 0): still collect
-    if (warmup_hook_) warmup_hook_();
-  }
+  if (!warmed_) warm_reset();  // empty timetable (end <= 0): still collect
   return collect(end);
 }
 
 ExperimentResult ShardedEngine::collect(double end) {
-  if (end > cfg_.warmup) {
-    result_.avg_consistency =
-        global_consistency_integral(end) / (end - cfg_.warmup);
-  } else {
-    result_.avg_consistency = global_instantaneous();
-  }
-  if (fluid_) {
-    fluid_->advance(end);
-    // Population weight n mirrors monitor_.active_receivers(): churn moves
-    // the blend the same way in both engines.
-    const auto n = static_cast<double>(g_active_);
-    const double cf = fluid_->average_consistency();
-    result_.fluid_cohort = fluid_m_;
-    result_.fluid_consistency = cf;
-    result_.fluid_live = fluid_->live();
-    result_.fluid_occupancy = fluid_->average_occupancy();
-    if (fluid_m_ > 0.0) {
-      result_.avg_consistency =
-          (n * result_.avg_consistency + fluid_m_ * cf) / (n + fluid_m_);
-    }
-  }
+  EngineMeasures m;
+  m.avg_consistency = end > cfg_.warmup
+                          ? global_consistency_integral(end) /
+                                (end - cfg_.warmup)
+                          : global_instantaneous();
+  // The hybrid blend's discrete weight mirrors monitor_.active_receivers().
+  m.active_receivers = g_active_;
 
   // Latency merge: receiver-major in global receiver order — the exact
   // insertion order the single monitor rebuilds, which the mean's
@@ -1035,16 +804,7 @@ ExperimentResult ShardedEngine::collect(double end) {
       }
     }
   }
-  result_.mean_latency = lat.mean();  // before quantile(): mean is
-  result_.p50_latency = lat.quantile(0.50);  // insertion-order sensitive
-  result_.p95_latency = lat.quantile(0.95);
-
-  const SenderStats s = sender_stats();
-  result_.data_tx = s.data_tx - warm_sender_.data_tx;
-  result_.hot_tx = s.hot_tx - warm_sender_.hot_tx;
-  result_.cold_tx = s.cold_tx - warm_sender_.cold_tx;
-  result_.repair_tx = s.repair_tx - warm_sender_.repair_tx;
-  result_.nacks_received = s.nacks_received - warm_sender_.nacks_received;
+  m.latency = &lat;
 
   // Redundancy: probe i was redundant iff every shard's local AND held.
   // Warm-up probes are excluded by time, mirroring the counter reset.
@@ -1062,7 +822,6 @@ ExperimentResult ShardedEngine::collect(double end) {
     check::report("ShardedEngine", v);
   }
 #endif
-  std::uint64_t redundant = 0;
   for (std::size_t i = 0; i < probe_times_.size(); ++i) {
     if (!(probe_times_[i] > cfg_.warmup)) continue;
     bool all = true;
@@ -1072,130 +831,38 @@ ExperimentResult ShardedEngine::collect(double end) {
         break;
       }
     }
-    if (all) ++redundant;
+    if (all) ++m.redundant_tx;
   }
-  result_.redundant_tx = redundant;
-  result_.redundant_fraction =
-      result_.data_tx > 0
-          ? static_cast<double>(result_.redundant_tx) /
-                static_cast<double>(result_.data_tx)
-          : 0.0;
 
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t nacks_suppressed = 0;
-  for (const auto& sh : shards_) {
-    for (const auto& rg : sh->rigs) {
-      nacks_sent += rg.agent->stats().nacks_sent;
-      nacks_suppressed += rg.agent->stats().suppressed;
-    }
-  }
-  result_.nacks_sent = nacks_sent - warm_nacks_sent_;
-  result_.nacks_suppressed = nacks_suppressed;
-
-  std::uint64_t delivered_total = 0;
-  std::uint64_t dropped_total = 0;
-  for (const auto& sh : shards_) {
-    delivered_total += sh->data.stats().delivered;
-    dropped_total += sh->data.stats().dropped;
-  }
-  const std::uint64_t delivered = delivered_total - warm_delivered_;
-  const std::uint64_t dropped =
-      dropped_total - warm_dropped_ + shared_drops_ * cfg_.num_receivers;
-  result_.observed_loss =
-      (delivered + dropped) > 0
-          ? static_cast<double>(dropped) /
-                static_cast<double>(delivered + dropped)
-          : 0.0;
-
-  double fb_bytes = 0.0;
-  for (const auto& sh : shards_) {
-    for (const auto& rg : sh->rigs) {
-      if (rg.fb_channel) fb_bytes += rg.fb_channel->stats().bytes_sent;
-    }
-  }
-  if (mcast_fb_) fb_bytes += mcast_fb_->stats().bytes_sent;
-  result_.offered_fb_kbps =
-      (fb_bytes - warm_fb_bytes_) * 8.0 / cfg_.duration / 1000.0;
-  result_.offered_data_kbps =
-      (data_bytes_ - warm_data_bytes_) * 8.0 / cfg_.duration / 1000.0;
-
-  result_.inserts = workload_->inserts();
-  result_.updates = workload_->updates();
-  // Every shard replays every publisher change, so introductions are
-  // counted identically everywhere; receipts are per-receiver, so they sum.
-  result_.versions_introduced = shards_[0]->monitor.versions_introduced();
-  std::uint64_t versions_received = 0;
-  for (const auto& sh : shards_) {
-    versions_received += sh->monitor.versions_received();
-  }
-  result_.versions_received = versions_received;
-
-  result_.final_live = pub_.live_count();
-  if (tq_sender_) {
-    result_.final_hot_depth = tq_sender_->hot_depth();
-    result_.final_cold_depth = tq_sender_->cold_depth();
-  } else if (ol_sender_) {
-    result_.final_hot_depth = ol_sender_->queue_depth();
-  }
+  collector_.fill(result_, tally(), *sender_, *workload_, pub_, m);
   return result_;
 }
 
 // --------------------------------------------------------- fault surface
-// All of these mirror core::Experiment's methods line for line; the only
-// sharded additions are the locate_ indirection and the global segment
-// close at membership changes.
-
-void ShardedEngine::crash_sender() {
-  if (tq_sender_) {
-    tq_sender_->pause();
-  } else if (ol_sender_) {
-    ol_sender_->pause();
-  }
-}
-
-void ShardedEngine::restart_sender() {
-  if (tq_sender_) {
-    tq_sender_->resume();
-  } else if (ol_sender_) {
-    ol_sender_->resume();
-  }
-}
+// The shared rig functions over the receiver that locate_ finds; churn
+// also closes the global E[c] segment, where the active count jumps.
 
 void ShardedEngine::set_partition(std::size_t r, bool down) {
-  const auto [s, i] = locate_.at(r);
-  ShardRig& rig = shards_[s]->rigs[i];
-  rig.partitioned = down;
-  if (rig.fwd_switch != nullptr) rig.fwd_switch->set_down(down);
-  if (rig.rev_switch != nullptr) rig.rev_switch->set_down(down);
-  if (rig.observe_switch != nullptr) rig.observe_switch->set_down(down);
+  rig::set_partition(rig_at(r), down);
 }
 
 void ShardedEngine::set_partition_all(bool down) {
-  for (std::size_t r = 0; r < locate_.size(); ++r) {
-    const auto [s, i] = locate_[r];
-    if (shards_[s]->rigs[i].active) set_partition(r, down);
+  for (auto& sh : shards_) {
+    for (auto& rig : sh->rigs) {
+      if (rig.active) rig::set_partition(rig, down);
+    }
   }
 }
 
 void ShardedEngine::set_extra_loss(std::size_t r, double p) {
-  const auto [s, i] = locate_.at(r);
-  ShardRig& rig = shards_[s]->rigs[i];
-  if (rig.fwd_switch != nullptr) rig.fwd_switch->set_extra_loss(p);
+  rig::set_extra_loss(rig_at(r), p);
 }
 
 void ShardedEngine::set_extra_loss_all(double p) {
-  for (std::size_t r = 0; r < locate_.size(); ++r) {
-    const auto [s, i] = locate_[r];
-    if (shards_[s]->rigs[i].active) set_extra_loss(r, p);
-  }
-}
-
-void ShardedEngine::set_bandwidth_factor(double factor) {
-  const sim::Rate mu = cfg_.mu_data * factor;
-  if (tq_sender_) {
-    tq_sender_->set_mu_data(mu);
-  } else if (ol_sender_) {
-    ol_sender_->set_mu_ch(mu);
+  for (auto& sh : shards_) {
+    for (auto& rig : sh->rigs) {
+      if (rig.active) rig::set_extra_loss(rig, p);
+    }
   }
 }
 
@@ -1215,43 +882,15 @@ std::size_t ShardedEngine::add_receiver() {
 void ShardedEngine::detach_receiver(std::size_t r) {
   const auto [s, i] = locate_.at(r);
   Shard& sh = *shards_[s];
-  ShardRig& rig = sh.rigs[i];
-  if (!rig.active) return;
+  if (!sh.rigs[i].active) return;
   // Close over the pre-leave membership, then drop the receiver — the same
   // order ConsistencyMonitor::detach uses (its own shard-local close runs
   // inside detach(), at the same parked instant).
   close_global_segment(rsim_.now());
-  rig.active = false;
   --g_active_;
-  sh.monitor.detach(i);
-  rig.agent->stop();
-  sh.data.set_receiver_enabled(i, false);
-  if (mcast_fb_ && rig.has_mcast_ep) {
-    mcast_fb_->set_receiver_enabled(rig.mcast_ep, false);
-  }
+  rig::detach(rig::Block{sh.sim, sh.monitor, sh.data, sh.rigs}, i,
+              mcast_fb_.get());
 }
-
-double ShardedEngine::instantaneous_consistency() const {
-  return global_instantaneous();
-}
-
-double ShardedEngine::repair_traffic() const {
-  const SenderStats& s = sender_stats();
-  std::uint64_t nacks = 0;
-  for (const auto& sh : shards_) {
-    for (const auto& rg : sh->rigs) nacks += rg.agent->stats().nacks_sent;
-  }
-  double total = static_cast<double>(s.repair_tx + nacks);
-  if (fluid_) total += fluid_->repair_traffic();
-  return total;
-}
-
-double ShardedEngine::catch_up_latency(std::size_t r) const {
-  const auto [s, i] = locate_.at(r);
-  return shards_[s]->monitor.catch_up_latency(i);
-}
-
-std::size_t ShardedEngine::receiver_count() const { return locate_.size(); }
 
 }  // namespace
 
@@ -1259,6 +898,20 @@ struct ShardedExperiment::Impl {
   ShardedEngine engine;
   Impl(const ExperimentConfig& cfg, std::vector<double> barriers)
       : engine(cfg, std::move(barriers)) {}
+
+  /// The engine, for a fault-surface call. Every such call runs in
+  /// coordinator context: a hook fires at a fence-snapped barrier instant
+  /// on the root simulator (or before run() starts / after it returns),
+  /// where the calling thread is the root executor AND — with every worker
+  /// parked at the barrier — the sole owner of all shard state. ShardCrew's
+  /// barrier sandwich is the protocol argument; TSan and the byte-identity
+  /// matrix verify it.
+  ShardedEngine& coordinator() SST_ASSERT_CAPABILITY(::sst::check::root_role)
+      SST_ASSERT_CAPABILITY(::sst::check::shard_role) {
+    check::root_role.assert_held();
+    check::shard_role.assert_held();
+    return engine;
+  }
 };
 
 ShardedExperiment::ShardedExperiment(const ExperimentConfig& cfg,
@@ -1279,102 +932,50 @@ ExperimentResult ShardedExperiment::run(ShardedRunStats* stats) {
   return impl_->engine.run(stats);
 }
 
-// The fault surface below asserts the coordinator pair at every entry: a
-// hook fires at a fence-snapped barrier instant on the root simulator (or
-// before run() starts / after it returns), where the calling thread is the
-// root executor AND — with every worker parked at the barrier — the sole
-// owner of all shard state. ShardCrew's barrier sandwich is the protocol
-// argument; TSan and the byte-identity matrix verify it.
-
-void ShardedExperiment::crash_sender() {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.crash_sender();
-}
+void ShardedExperiment::crash_sender() { impl_->coordinator().crash_sender(); }
 
 void ShardedExperiment::restart_sender() {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.restart_sender();
+  impl_->coordinator().restart_sender();
 }
 
 void ShardedExperiment::set_partition(std::size_t r, bool down) {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.set_partition(r, down);
+  impl_->coordinator().set_partition(r, down);
 }
 
 void ShardedExperiment::set_partition_all(bool down) {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.set_partition_all(down);
+  impl_->coordinator().set_partition_all(down);
 }
 
 void ShardedExperiment::set_extra_loss(std::size_t r, double p) {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.set_extra_loss(r, p);
+  impl_->coordinator().set_extra_loss(r, p);
 }
 
 void ShardedExperiment::set_extra_loss_all(double p) {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.set_extra_loss_all(p);
+  impl_->coordinator().set_extra_loss_all(p);
 }
 
 void ShardedExperiment::set_bandwidth_factor(double factor) {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.set_bandwidth_factor(factor);
+  impl_->coordinator().set_bandwidth_factor(factor);
 }
 
 std::size_t ShardedExperiment::add_receiver() {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  return impl_->engine.add_receiver();
+  return impl_->coordinator().add_receiver();
 }
 
 void ShardedExperiment::detach_receiver(std::size_t r) {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  impl_->engine.detach_receiver(r);
+  impl_->coordinator().detach_receiver(r);
 }
 
 double ShardedExperiment::instantaneous_consistency() const {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  return impl_->engine.instantaneous_consistency();
+  return impl_->coordinator().instantaneous_consistency();
 }
 
 double ShardedExperiment::repair_traffic() const {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  return impl_->engine.repair_traffic();
+  return impl_->coordinator().repair_traffic();
 }
 
 double ShardedExperiment::catch_up_latency(std::size_t r) const {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  return impl_->engine.catch_up_latency(r);
-}
-
-std::size_t ShardedExperiment::receiver_count() const {
-  // Coordinator context between barriers (see block comment above).
-  check::root_role.assert_held();
-  check::shard_role.assert_held();
-  return impl_->engine.receiver_count();
+  return impl_->coordinator().catch_up_latency(r);
 }
 
 bool sharded_supported(const ExperimentConfig& cfg, std::string& why) {
@@ -1405,10 +1006,6 @@ sim::Duration sharded_lookahead(const ExperimentConfig& cfg) {
   return cfg.variant == Variant::kFeedback
              ? cfg.delay + nack_slot_floor(cfg.receiver)
              : std::numeric_limits<sim::Duration>::infinity();
-}
-
-ExperimentResult run_sharded(const ExperimentConfig& cfg) {
-  return run_sharded(cfg, nullptr);
 }
 
 ExperimentResult run_sharded(const ExperimentConfig& cfg,

@@ -86,13 +86,9 @@ struct ShardedRunStats {
 /// sharded_supported(cfg). Bit-identical to the single-queue engine for any
 /// shard count, up to ties at exactly equal event times (measure-zero for
 /// the continuous-time workloads; the tie policy is documented in
-/// DESIGN.md).
-ExperimentResult run_sharded(const ExperimentConfig& cfg);
-
-/// As above, but also reports engine-side scheduling counters into `stats`
-/// (ignored when null).
+/// DESIGN.md). Engine-side scheduling counters go to `stats` when given.
 ExperimentResult run_sharded(const ExperimentConfig& cfg,
-                             ShardedRunStats* stats);
+                             ShardedRunStats* stats = nullptr);
 
 /// Sharded analogue of core::Experiment's fault-injection surface: a
 /// constructed-but-not-yet-run sharded replication whose sender, receivers,
@@ -132,8 +128,8 @@ class ShardedExperiment {
   /// run_sharded for the identity contract). Call at most once.
   ExperimentResult run(ShardedRunStats* stats = nullptr);
 
-  // Fault surface (mirrors core::Experiment's; callable from hooks fired at
-  // barrier instants, and before/after run()).
+  // Fault surface (core::Experiment's; callable from hooks fired at barrier
+  // instants, and before/after run()).
   void crash_sender();
   void restart_sender();
   void set_partition(std::size_t r, bool down);
@@ -148,7 +144,6 @@ class ShardedExperiment {
   [[nodiscard]] double instantaneous_consistency() const;
   [[nodiscard]] double repair_traffic() const;
   [[nodiscard]] double catch_up_latency(std::size_t r) const;
-  [[nodiscard]] std::size_t receiver_count() const;
 
  private:
   struct Impl;

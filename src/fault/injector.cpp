@@ -1,101 +1,10 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace sst::fault {
-
-Hooks hooks_for(core::Experiment& exp) {
-  Hooks h;
-  h.crash = [&exp] { exp.crash_sender(); };
-  h.restart = [&exp] { exp.restart_sender(); };
-  h.set_partition = [&exp](std::size_t target, bool down) {
-    if (target == kAllReceivers) {
-      exp.set_partition_all(down);
-    } else {
-      exp.set_partition(target, down);
-    }
-  };
-  h.set_extra_loss = [&exp](std::size_t target, double p) {
-    if (target == kAllReceivers) {
-      exp.set_extra_loss_all(p);
-    } else {
-      exp.set_extra_loss(target, p);
-    }
-  };
-  h.set_bandwidth_factor = [&exp](double f) { exp.set_bandwidth_factor(f); };
-  h.leave = [&exp](std::size_t target) { exp.detach_receiver(target); };
-  h.join = [&exp] { return exp.add_receiver(); };
-  h.consistency = [&exp] { return exp.instantaneous_consistency(); };
-  h.traffic = [&exp] { return exp.repair_traffic(); };
-  h.catch_up_latency = [&exp](std::size_t r) {
-    return exp.monitor().catch_up_latency(r);
-  };
-  return h;
-}
-
-Hooks hooks_for(core::ShardedExperiment& exp) {
-  Hooks h;
-  h.crash = [&exp] { exp.crash_sender(); };
-  h.restart = [&exp] { exp.restart_sender(); };
-  h.set_partition = [&exp](std::size_t target, bool down) {
-    if (target == kAllReceivers) {
-      exp.set_partition_all(down);
-    } else {
-      exp.set_partition(target, down);
-    }
-  };
-  h.set_extra_loss = [&exp](std::size_t target, double p) {
-    if (target == kAllReceivers) {
-      exp.set_extra_loss_all(p);
-    } else {
-      exp.set_extra_loss(target, p);
-    }
-  };
-  h.set_bandwidth_factor = [&exp](double f) { exp.set_bandwidth_factor(f); };
-  h.leave = [&exp](std::size_t target) { exp.detach_receiver(target); };
-  h.join = [&exp] { return exp.add_receiver(); };
-  h.consistency = [&exp] { return exp.instantaneous_consistency(); };
-  h.traffic = [&exp] { return exp.repair_traffic(); };
-  h.catch_up_latency = [&exp](std::size_t r) {
-    return exp.catch_up_latency(r);
-  };
-  return h;
-}
-
-Hooks hooks_for(sstp::Session& session) {
-  Hooks h;
-  h.crash = [&session] { session.crash_sender(); };
-  h.restart = [&session] { session.restart_sender(); };
-  h.set_partition = [&session](std::size_t target, bool down) {
-    if (target == kAllReceivers) {
-      session.set_partition_all(down);
-    } else {
-      session.set_partition(target, down);
-    }
-  };
-  h.set_extra_loss = [&session](std::size_t target, double p) {
-    if (target == kAllReceivers) {
-      session.set_extra_loss_all(p);
-    } else {
-      session.set_extra_loss(target, p);
-    }
-  };
-  h.set_bandwidth_factor = [&session](double f) {
-    session.set_bandwidth_factor(f);
-  };
-  h.leave = [&session](std::size_t target) {
-    session.detach_receiver(target);
-  };
-  h.join = [&session] { return session.add_receiver(); };
-  h.consistency = [&session] {
-    return session.instantaneous_consistency();
-  };
-  h.traffic = [&session] { return session.repair_traffic(); };
-  h.catch_up_latency = [&session](std::size_t r) {
-    return session.catch_up_latency(r);
-  };
-  return h;
-}
 
 FaultInjector::FaultInjector(sim::Simulator& sim, FaultPlan plan, Hooks hooks,
                              InjectorConfig config)
@@ -272,6 +181,17 @@ std::vector<double> fault_barrier_instants(const core::ExperimentConfig& cfg,
   return out;
 }
 
+namespace {
+
+/// Closes the injector's books on a finished run.
+FaultRunResult finish_run(core::ExperimentResult base, FaultInjector& inj) {
+  inj.finalize();
+  return FaultRunResult{std::move(base), inj.records(),
+                        inj.join_catch_up_latencies()};
+}
+
+}  // namespace
+
 FaultRunResult run_sharded_with_faults(const core::ExperimentConfig& cfg,
                                        const FaultPlan& plan,
                                        InjectorConfig injector,
@@ -280,22 +200,17 @@ FaultRunResult run_sharded_with_faults(const core::ExperimentConfig& cfg,
                                                           injector));
   FaultInjector inj(exp.simulator(), plan, hooks_for(exp), injector);
   exp.set_warmup_hook([&inj] { inj.arm(); });
-  FaultRunResult out;
-  out.base = exp.run(stats);
-  inj.finalize();
-  out.recoveries = inj.records();
-  out.join_catch_up = inj.join_catch_up_latencies();
-  return out;
+  return finish_run(exp.run(stats), inj);
 }
 
 FaultRunResult run_experiment_with_faults(const core::ExperimentConfig& cfg,
                                           const FaultPlan& plan,
                                           InjectorConfig injector) {
-  if (cfg.shards > 1 && cfg.backend != core::Backend::kHybrid) {
+  if (cfg.backend == core::Backend::kFluid) {
+    throw std::invalid_argument("faults need an event engine");
+  }
+  if (cfg.shards > 1) {
     // Faulted runs shard too, inside the same envelope as fault-free runs.
-    // kHybrid is excluded here (not in sharded_supported) because this
-    // single-queue path never attaches the fluid cohort — the sharded
-    // engine does, so dispatching would change results, not preserve them.
     std::string why;
     if (core::sharded_supported(cfg, why)) {
       return run_sharded_with_faults(cfg, plan, injector);
@@ -305,12 +220,7 @@ FaultRunResult run_experiment_with_faults(const core::ExperimentConfig& cfg,
   FaultInjector inj(exp.simulator(), plan, hooks_for(exp), injector);
   exp.run_warmup();
   inj.arm();
-  FaultRunResult out;
-  out.base = exp.finish();
-  inj.finalize();
-  out.recoveries = inj.records();
-  out.join_catch_up = inj.join_catch_up_latencies();
-  return out;
+  return finish_run(exp.finish(), inj);
 }
 
 }  // namespace sst::fault

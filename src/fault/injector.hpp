@@ -4,9 +4,10 @@
 // The injector is harness-agnostic: it drives a small bundle of hooks
 // (crash/restart, partition, extra loss, bandwidth, leave/join, a
 // consistency probe, and an optional repair-traffic counter). hooks_for()
-// overloads bind the bundle to the two harnesses this repo has — the flat
-// announce/listen core::Experiment and the hierarchical sstp::Session — so
-// one scripted plan produces comparable recovery metrics for both.
+// binds the bundle to any of the three harnesses this repo has — the flat
+// announce/listen core::Experiment, its sharded twin
+// core::ShardedExperiment, and the hierarchical sstp::Session — so one
+// scripted plan produces comparable recovery metrics for all of them.
 //
 // Every injected fault is bracketed in a stats::RecoveryTracker: inject at
 // the event start, clear when the condition lifts (restart / heal / end of
@@ -24,7 +25,6 @@
 #include "fault/plan.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
-#include "sstp/session.hpp"
 #include "stats/recovery.hpp"
 
 namespace sst::fault {
@@ -48,11 +48,38 @@ struct Hooks {
   std::function<double(std::size_t)> catch_up_latency;
 };
 
-/// Binds the hook bundle to a core experiment / a sharded replication / an
-/// SSTP session.
-Hooks hooks_for(core::Experiment& exp);
-Hooks hooks_for(core::ShardedExperiment& exp);
-Hooks hooks_for(sstp::Session& session);
+/// Binds the hook bundle to a harness: a core experiment, a sharded
+/// replication, or an SSTP session. They share one fault surface, so one
+/// binding serves all three.
+template <class Harness>
+Hooks hooks_for(Harness& h) {
+  Hooks hooks;
+  hooks.crash = [&h] { h.crash_sender(); };
+  hooks.restart = [&h] { h.restart_sender(); };
+  hooks.set_partition = [&h](std::size_t target, bool down) {
+    if (target == kAllReceivers) {
+      h.set_partition_all(down);
+    } else {
+      h.set_partition(target, down);
+    }
+  };
+  hooks.set_extra_loss = [&h](std::size_t target, double p) {
+    if (target == kAllReceivers) {
+      h.set_extra_loss_all(p);
+    } else {
+      h.set_extra_loss(target, p);
+    }
+  };
+  hooks.set_bandwidth_factor = [&h](double f) { h.set_bandwidth_factor(f); };
+  hooks.leave = [&h](std::size_t target) { h.detach_receiver(target); };
+  hooks.join = [&h] { return h.add_receiver(); };
+  hooks.consistency = [&h] { return h.instantaneous_consistency(); };
+  hooks.traffic = [&h] { return h.repair_traffic(); };
+  hooks.catch_up_latency = [&h](std::size_t r) {
+    return h.catch_up_latency(r);
+  };
+  return hooks;
+}
 
 /// Injector configuration.
 struct InjectorConfig {
@@ -149,7 +176,9 @@ std::vector<double> fault_barrier_instants(const core::ExperimentConfig& cfg,
 /// after warm-up. Deterministic in cfg.seed (the injector draws no
 /// randomness of its own). Configurations inside the sharded envelope with
 /// cfg.shards > 1 run on the sharded engine (bit-identical results, see
-/// run_sharded_with_faults); everything else runs single-queue.
+/// run_sharded_with_faults); everything else runs single-queue. Throws
+/// std::invalid_argument for the pure-fluid backend, which has no event
+/// engine to inject into.
 FaultRunResult run_experiment_with_faults(const core::ExperimentConfig& cfg,
                                           const FaultPlan& plan,
                                           InjectorConfig injector = {});

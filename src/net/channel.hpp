@@ -20,7 +20,6 @@
 #include "net/delay.hpp"
 #include "net/loss.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "sim/units.hpp"
 
 namespace sst::net {
@@ -49,8 +48,7 @@ class Channel {
  public:
   using Handler = std::function<void(const M&)>;
 
-  explicit Channel(sim::Simulator& sim, sim::Tracer tracer = {})
-      : sim_(&sim), tracer_(std::move(tracer)) {}
+  explicit Channel(sim::Simulator& sim) : sim_(&sim) {}
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -113,7 +111,6 @@ class Channel {
       if (ep->loss->should_drop(sim_->now())) {
         ++ep->stats.dropped;
         ++stats_.dropped;
-        if (tracer_.enabled()) tracer_.emit(sim_->now(), "drop");
         continue;
       }
       ++ep->stats.delivered;
@@ -123,7 +120,6 @@ class Channel {
         // Cross-shard endpoint: hand over (message, arrival time) now; the
         // receiving shard schedules the delivery on its own queue.
         ep->remote(msg, sim_->now() + d);
-        if (tracer_.enabled()) tracer_.emit(sim_->now(), "tx");
         continue;
       }
       if (!payload) payload = acquire_payload(msg);
@@ -133,7 +129,6 @@ class Channel {
       // receivers_ vector reallocates while this message is in flight.
       Endpoint* const endpoint = ep.get();
       sim_->after(d, [endpoint, payload] { endpoint->handler(*payload); });
-      if (tracer_.enabled()) tracer_.emit(sim_->now(), "tx");
     }
 #if SST_CHECK_ENABLED
     if (check::due(audit_tick_, 4096)) {
@@ -241,7 +236,6 @@ class Channel {
   static constexpr std::size_t kPayloadPoolCap = 64;
 
   sim::Simulator* sim_;
-  sim::Tracer tracer_;
   std::vector<std::unique_ptr<Endpoint>> receivers_;
   ChannelStats stats_;
   // The recycled payload pool is single-threaded-by-design hot-path state:

@@ -15,7 +15,6 @@
 
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
-#include "sim/trace.hpp"
 #include "sim/units.hpp"
 
 namespace sst::net {
@@ -42,14 +41,11 @@ class Link {
   /// number of queued (not in service) messages, default unbounded as in the
   /// paper ("sufficient buffer space to hold all arriving announcements").
   Link(sim::Simulator& sim, sim::Rate rate, Handler sink,
-       std::size_t queue_limit = std::numeric_limits<std::size_t>::max(),
-       sim::Tracer tracer = {})
-      : sim_(&sim),
-        rate_(rate),
+       std::size_t queue_limit = std::numeric_limits<std::size_t>::max())
+      : rate_(rate),
         queue_limit_(queue_limit),
         sink_(std::move(sink)),
-        service_timer_(sim),
-        tracer_(std::move(tracer)) {}
+        service_timer_(sim) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -61,7 +57,6 @@ class Link {
     const std::size_t waiting = queue_.size() - (busy_ ? 1 : 0);
     if (waiting >= queue_limit_) {
       ++stats_.tail_dropped;
-      if (tracer_.enabled()) tracer_.emit(sim_->now(), "taildrop");
       return false;
     }
     queue_.push_back(Item{std::move(msg), size});
@@ -102,7 +97,6 @@ class Link {
     sink_(item.msg, item.size);
   }
 
-  sim::Simulator* sim_;
   sim::Rate rate_;
   std::size_t queue_limit_;
   Handler sink_;
@@ -110,7 +104,6 @@ class Link {
   bool busy_ = false;
   LinkStats stats_;
   sim::Timer service_timer_;
-  sim::Tracer tracer_;
 };
 
 }  // namespace sst::net

@@ -73,7 +73,7 @@ Session::Session(sim::Simulator& sim, SessionConfig config)
         }
       });
 
-  for (std::size_t r = 0; r < config_.num_receivers; ++r) add_receiver_rig();
+  for (std::size_t r = 0; r < config_.num_receivers; ++r) add_receiver();
 
   if (config_.use_allocator) {
     sender_->set_allocator(std::make_unique<BandwidthAllocator>(
@@ -106,7 +106,7 @@ Session::Session(sim::Simulator& sim, SessionConfig config)
   }
 }
 
-std::size_t Session::add_receiver_rig() {
+std::size_t Session::add_receiver() {
   const std::size_t r = receivers_.size();
   ReceiverRig rig;
   rig.joined_at = sim_->now();
@@ -168,8 +168,6 @@ std::size_t Session::add_receiver_rig() {
   receivers_.push_back(std::move(rig));
   return r;
 }
-
-std::size_t Session::add_receiver() { return add_receiver_rig(); }
 
 void Session::detach_receiver(std::size_t i) {
   ReceiverRig& rig = receivers_.at(i);

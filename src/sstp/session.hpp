@@ -185,7 +185,6 @@ class Session {
     double catch_up_latency = -1.0;
   };
 
-  std::size_t add_receiver_rig();
   void sample();
   void settle_catch_ups();
 

@@ -236,6 +236,17 @@ TEST(FaultInjection, EmptyPlanMatchesPlainRun) {
   EXPECT_TRUE(faulted.recoveries.empty());
 }
 
+TEST(FaultInjection, FluidBackendRejectsFaultPlans) {
+  // The pure-fluid backend is an ODE with no event engine: nothing for a
+  // fault to act on, so the plan is refused rather than silently ignored.
+  auto cfg = recovering_config();
+  cfg.backend = core::Backend::kFluid;
+  FaultPlan plan;
+  plan.crash(300.0, 20.0);
+  EXPECT_THROW(run_experiment_with_faults(cfg, plan, {}),
+               std::invalid_argument);
+}
+
 TEST(FaultInjection, PartitionHealsAndLeaveShrinksMembership) {
   FaultPlan plan;
   plan.partition(0, 500.0, 60.0).leave(1, 900.0);

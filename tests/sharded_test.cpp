@@ -401,23 +401,40 @@ void expect_identical_faulted(const fault::FaultRunResult& a,
 }
 
 TEST(ShardedIdentity, FaultedRunsMatch) {
-  // One of every fault kind, overlapping where the semantics are nestable.
-  core::ExperimentConfig cfg = small_cfg(core::Variant::kFeedback);
+  // One of every fault kind, overlapping where the semantics are nestable,
+  // through both the single-target and the all-receivers fault surface —
+  // on the discrete backend and with a hybrid fluid cohort attached.
   fault::FaultPlan plan;
   plan.crash(20.0, 5.0)
       .partition(2, 30.0, 4.0)
       .burst_loss(0.5, 32.0, 6.0)
+      .partition(fault::kAllReceivers, 40.0, 3.0)
       .bandwidth(0.5, 45.0, 6.0)
+      .burst_loss(0.7, 47.0, 4.0, /*target=*/1)
       .leave(1, 52.0)
       .join(54.0);
 
-  const auto ref = fault::run_experiment_with_faults(cfg, plan);
-  ASSERT_EQ(ref.recoveries.size(), plan.size());
-  ASSERT_EQ(ref.join_catch_up.size(), 1u);
-  for (const std::size_t k : {2u, 4u, 8u}) {
-    cfg.shards = k;
-    const auto got = fault::run_experiment_with_faults(cfg, plan);
-    expect_identical_faulted(ref, got, "faulted K=" + std::to_string(k));
+  for (const auto backend :
+       {core::Backend::kDiscrete, core::Backend::kHybrid}) {
+    core::ExperimentConfig cfg = small_cfg(core::Variant::kFeedback);
+    cfg.backend = backend;
+    cfg.fluid_cohort = 1000.0;
+    const std::string name =
+        backend == core::Backend::kHybrid ? "hybrid" : "discrete";
+
+    const auto ref = fault::run_experiment_with_faults(cfg, plan);
+    ASSERT_EQ(ref.recoveries.size(), plan.size());
+    ASSERT_EQ(ref.join_catch_up.size(), 1u);
+    // The fluid cohort is attached on every engine, faulted or not.
+    const double cohort = backend == core::Backend::kHybrid ? 1000.0 : 0.0;
+    EXPECT_EQ(ref.base.fluid_cohort, cohort) << name;
+    for (const std::size_t k : {2u, 4u, 8u}) {
+      cfg.shards = k;
+      const auto got = fault::run_experiment_with_faults(cfg, plan);
+      EXPECT_EQ(got.base.fluid_cohort, cohort) << name;
+      expect_identical_faulted(
+          ref, got, "faulted " + name + " K=" + std::to_string(k));
+    }
   }
 }
 

@@ -1,71 +1,10 @@
-// Tests for the trace infrastructure and a few cross-cutting harness
-// features (heterogeneous receivers, determinism across tracing).
+// Cross-cutting harness features (heterogeneous receivers).
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <memory>
-
 #include "core/experiment.hpp"
-#include "net/channel.hpp"
-#include "net/delay.hpp"
-#include "net/loss.hpp"
-#include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace sst {
 namespace {
-
-TEST(Trace, NullTracerIsDisabled) {
-  sim::Tracer tracer;
-  EXPECT_FALSE(tracer.enabled());
-  tracer.emit(1.0, "tx");  // must be a harmless no-op
-}
-
-TEST(Trace, MemorySinkCollectsAndCounts) {
-  sim::MemoryTraceSink sink;
-  sim::Tracer a(&sink, "chan.a");
-  sim::Tracer b(&sink, "chan.b");
-  EXPECT_TRUE(a.enabled());
-  a.emit(1.0, "tx", "seq=1");
-  a.emit(2.0, "drop");
-  b.emit(3.0, "tx");
-  EXPECT_EQ(sink.records().size(), 3u);
-  EXPECT_EQ(sink.count("chan.a", ""), 2u);
-  EXPECT_EQ(sink.count("", "tx"), 2u);
-  EXPECT_EQ(sink.count("chan.a", "drop"), 1u);
-  EXPECT_EQ(sink.records()[0].detail, "seq=1");
-  sink.clear();
-  EXPECT_TRUE(sink.records().empty());
-}
-
-TEST(Trace, ChannelEmitsTxAndDropRecords) {
-  sim::Simulator sim;
-  sim::MemoryTraceSink sink;
-  net::Channel<int> channel(sim, sim::Tracer(&sink, "chan"));
-  channel.add_receiver(std::make_unique<net::PeriodicLoss>(2),
-                       std::make_unique<net::FixedDelay>(0.0), [](int) {});
-  for (int i = 0; i < 10; ++i) channel.send(i, 100);
-  sim.run();
-  EXPECT_EQ(sink.count("chan", "tx"), 5u);
-  EXPECT_EQ(sink.count("chan", "drop"), 5u);
-}
-
-TEST(Trace, FileSinkWritesLines) {
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  {
-    sim::FileTraceSink sink(tmp);
-    sim::Tracer tracer(&sink, "link");
-    tracer.emit(1.5, "taildrop", "q=16");
-  }
-  std::rewind(tmp);
-  char buf[128] = {};
-  ASSERT_NE(std::fgets(buf, sizeof buf, tmp), nullptr);
-  EXPECT_NE(std::strstr(buf, "link"), nullptr);
-  EXPECT_NE(std::strstr(buf, "taildrop"), nullptr);
-  EXPECT_NE(std::strstr(buf, "q=16"), nullptr);
-  std::fclose(tmp);
-}
 
 TEST(Harness, HeterogeneousReceiverLossRates) {
   core::ExperimentConfig cfg;

@@ -353,41 +353,31 @@ int main(int argc, char** argv) {
   mc.threads_per_replication = cfg.shards;
   flags.reject_unknown();
 
-  if (mc.replications > 1) {
-    if (!faults_script.empty()) {
-      fault::FaultPlan plan;
-      try {
-        plan = fault::FaultPlan::parse(faults_script);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "--faults: %s\n", e.what());
-        return 2;
-      }
-      print_aggregate(variant, mc,
-                      runner::run_replicated(cfg, plan, inj_cfg, mc));
-    } else {
-      print_aggregate(variant, mc, runner::run_replicated(cfg, mc));
-    }
-    return 0;
-  }
-
-  core::ExperimentResult r;
-  std::vector<stats::RecoveryRecord> recoveries;
-  std::vector<double> join_catch_up;
+  // A malformed script, or a plan the backend cannot take (the pure-fluid
+  // backend has no event engine), is bad input.
+  fault::FaultRunResult faulted;
   if (!faults_script.empty()) {
-    fault::FaultPlan plan;
     try {
-      plan = fault::FaultPlan::parse(faults_script);
+      const auto plan = fault::FaultPlan::parse(faults_script);
+      if (mc.replications > 1) {
+        print_aggregate(variant, mc,
+                        runner::run_replicated(cfg, plan, inj_cfg, mc));
+        return 0;
+      }
+      faulted = fault::run_experiment_with_faults(cfg, plan, inj_cfg);
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "--faults: %s\n", e.what());
       return 2;
     }
-    const auto run = fault::run_experiment_with_faults(cfg, plan, inj_cfg);
-    r = run.base;
-    recoveries = run.recoveries;
-    join_catch_up = run.join_catch_up;
-  } else {
-    r = core::run_experiment(cfg);
+  } else if (mc.replications > 1) {
+    print_aggregate(variant, mc, runner::run_replicated(cfg, mc));
+    return 0;
   }
+
+  const core::ExperimentResult r =
+      faults_script.empty() ? core::run_experiment(cfg) : faulted.base;
+  const auto& recoveries = faulted.recoveries;
+  const auto& join_catch_up = faulted.join_catch_up;
   std::printf("variant            %s\n", variant.c_str());
   std::printf("avg_consistency    %.4f\n", r.avg_consistency);
   std::printf("mean_latency_s     %.3f (p50 %.3f, p95 %.3f)\n",
