@@ -111,7 +111,7 @@ int main() {
   const Key concert = directory.insert(text("net-radio concert"), 400);
   // Scheduled lambdas capture pointers by value: main()'s locals do outlive
   // the run here, but events must never hold by-reference captures into a
-  // stack frame (tools/sstlyz.py ref-capture contract).
+  // stack frame (tools/sstlint.py ref-capture contract).
   sim.at(120.0, [dir = &directory] {
     const Key bof = dir->insert(text("IETF BOF"), 400);
     (void)bof;

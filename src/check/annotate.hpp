@@ -21,8 +21,8 @@
 // runs, the byte-identity matrix). The macros below make it machine-checked:
 // under Clang they lower to the thread-safety-analysis attributes
 // (-Wthread-safety; cmake -DSST_ANALYZE=ON turns the warnings into errors
-// for src/), and everywhere they double as markers for the AST analyzer
-// (tools/sstlyz.py), whose ownership-reachability and epoch-fence rules read
+// for src/), and everywhere they double as markers for the analyzer
+// (tools/sstlint.py), whose ownership-reachability and epoch-fence rules read
 // them textually — so the contract is checked even on non-Clang toolchains.
 //
 // The roles are "fictitious capabilities" in Clang's sense: never a runtime
@@ -113,7 +113,7 @@ inline constexpr Role engine_role{};
 }  // namespace sst::check
 
 // ------------------------------------------------------- ownership domains
-// The repo-specific vocabulary. sstlyz's root-reach and fence-read rules key
+// The repo-specific vocabulary. sstlint's root-reach and fence-read rules key
 // off these exact spellings, so use the domain macros (not raw
 // SST_GUARDED_BY) on engine state.
 #define SST_ROOT_ONLY SST_GUARDED_BY(::sst::check::root_role)
@@ -132,7 +132,7 @@ inline constexpr Role engine_role{};
 // holds the root role AND — because every worker is parked — the shard role.
 // Fault hooks (crash, partition, churn) run at fence-snapped instants on the
 // root simulator, so they mutate root state and shard state in one scope;
-// this pair is their declared requirement. sstlyz's root-reach rule treats
+// this pair is their declared requirement. sstlint's root-reach rule treats
 // the pair as both domains at once.
 #define SST_REQUIRES_COORDINATOR \
   SST_REQUIRES(::sst::check::root_role, ::sst::check::shard_role)

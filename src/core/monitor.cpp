@@ -1,6 +1,86 @@
 #include "core/monitor.hpp"
 
+#include <utility>
+
 namespace sst::core {
+
+ConsistencyIntegral::ConsistencyIntegral(
+    std::vector<ConsistencyMonitor*> monitors, sim::SimTime start)
+    : monitors_(std::move(monitors)), seg_start_(start) {}
+
+double ConsistencyIntegral::integral(sim::SimTime now) {
+  return closed_.value() + open_segment(now);
+}
+
+double ConsistencyIntegral::open_segment(sim::SimTime now) {
+  const std::size_t active = active_receivers();
+  if (active == 0) {
+    // Vacuous consistency: c(t) = 1 while nobody is attached.
+    return now - seg_start_;
+  }
+  stats::CompensatedSum sum;
+  std::size_t pos = 0;
+  for (ConsistencyMonitor* m : monitors_) {
+    for (auto& rv : m->receivers_) {
+      const double ckpt = pos < ckpt_.size() ? ckpt_[pos] : 0.0;
+      ++pos;
+      if (!rv.active) continue;
+      rv.avg.advance(now);
+      sum.add(rv.avg.integral() - ckpt);
+    }
+  }
+  return sum.value() / static_cast<double>(active);
+}
+
+void ConsistencyIntegral::close_segment(sim::SimTime now) {
+  closed_.add(open_segment(now));
+  seg_start_ = now;
+  std::size_t pos = 0;
+  for (const ConsistencyMonitor* m : monitors_) {
+    ckpt_.resize(pos + m->receivers_.size(), 0.0);
+    for (const auto& rv : m->receivers_) {
+      if (rv.active) ckpt_[pos] = rv.avg.integral();
+      ++pos;
+    }
+  }
+}
+
+void ConsistencyIntegral::reset(sim::SimTime now) {
+  closed_.reset();
+  ckpt_.clear();
+  seg_start_ = now;
+}
+
+double ConsistencyIntegral::instantaneous() const {
+  // Every monitor mirrors the same live set.
+  const std::size_t live = monitors_.front()->live_.size();
+  if (live == 0) return 1.0;
+  double sum = 0.0;
+  for (const ConsistencyMonitor* m : monitors_) {
+    for (const auto& rv : m->receivers_) {
+      if (!rv.active) continue;
+      sum += static_cast<double>(rv.consistent.size()) /
+             static_cast<double>(live);
+    }
+  }
+  const std::size_t active = active_receivers();
+  if (active == 0) return 1.0;
+  return sum / static_cast<double>(active);
+}
+
+std::size_t ConsistencyIntegral::active_receivers() const {
+  std::size_t active = 0;
+  for (const ConsistencyMonitor* m : monitors_) active += m->active_count_;
+  return active;
+}
+
+void ConsistencyIntegral::merge_latency(stats::Samples& out) const {
+  for (const ConsistencyMonitor* m : monitors_) {
+    for (const auto& rv : m->receivers_) {
+      for (const double x : rv.latency) out.add(x);
+    }
+  }
+}
 
 ConsistencyMonitor::ConsistencyMonitor(sim::Simulator& sim,
                                        PublisherTable& pub)
@@ -11,11 +91,11 @@ ConsistencyMonitor::ConsistencyMonitor(sim::Simulator& sim,
 }
 
 ConsistencyMonitor::ConsistencyMonitor(sim::Simulator& sim)
-    : sim_(&sim), seg_start_(sim.now()), reset_time_(sim.now()) {}
+    : sim_(&sim), segments_({this}, sim.now()), reset_time_(sim.now()) {}
 
 std::size_t ConsistencyMonitor::attach(ReceiverTable& recv) {
   const sim::SimTime now = sim_->now();
-  close_segment(now);
+  segments_.close_segment(now);
   const std::size_t r = receivers_.size();
   ReceiverView view;
   view.table = &recv;
@@ -40,8 +120,7 @@ std::size_t ConsistencyMonitor::attach(ReceiverTable& recv) {
 void ConsistencyMonitor::detach(std::size_t r) {
   auto& rv = receivers_.at(r);
   if (!rv.active) return;
-  const sim::SimTime now = sim_->now();
-  close_segment(now);
+  segments_.close_segment(sim_->now());
   rv.active = false;
   --active_count_;
   if (rv.catching_up) {
@@ -60,34 +139,15 @@ double ConsistencyMonitor::receiver_consistency(std::size_t r) const {
 void ConsistencyMonitor::reset_stats() {
   const sim::SimTime now = sim_->now();
   for (auto& rv : receivers_) {
-    if (rv.active) {
-      rv.avg.reset(now);
-      rv.ckpt = 0.0;
-    }
+    if (rv.active) rv.avg.reset(now);
     rv.latency.clear();
   }
-  closed_.reset();
-  seg_start_ = now;
+  segments_.reset(now);
   reset_time_ = now;
   merged_latency_ = stats::Samples{};
   merged_dirty_ = false;
   versions_introduced_ = 0;
   versions_received_ = 0;
-}
-
-double ConsistencyMonitor::instantaneous() const {
-  const std::size_t live = live_.size();
-  if (live == 0) return 1.0;
-  double sum = 0.0;
-  std::size_t active = 0;
-  for (const auto& rv : receivers_) {
-    if (!rv.active) continue;
-    ++active;
-    sum += static_cast<double>(rv.consistent.size()) /
-           static_cast<double>(live);
-  }
-  if (active == 0) return 1.0;
-  return sum / static_cast<double>(active);
 }
 
 double ConsistencyMonitor::average_consistency() {
@@ -97,43 +157,13 @@ double ConsistencyMonitor::average_consistency() {
 }
 
 double ConsistencyMonitor::consistency_integral() {
-  return closed_.value() + open_segment_integral(sim_->now());
-}
-
-double ConsistencyMonitor::open_segment_integral(sim::SimTime now) {
-  if (active_count_ == 0) {
-    // Vacuous consistency: c(t) = 1 while nobody is attached.
-    return now - seg_start_;
-  }
-  stats::CompensatedSum sum;
-  for (auto& rv : receivers_) {
-    if (!rv.active) continue;
-    rv.avg.advance(now);
-    sum.add(rv.avg.integral() - rv.ckpt);
-  }
-  return sum.value() / static_cast<double>(active_count_);
-}
-
-void ConsistencyMonitor::close_segment(sim::SimTime now) {
-  closed_.add(open_segment_integral(now));
-  seg_start_ = now;
-  for (auto& rv : receivers_) {
-    if (rv.active) rv.ckpt = rv.avg.integral();
-  }
-}
-
-void ConsistencyMonitor::advance_all(sim::SimTime now) {
-  for (auto& rv : receivers_) {
-    if (rv.active) rv.avg.advance(now);
-  }
+  return segments_.integral(sim_->now());
 }
 
 stats::Samples& ConsistencyMonitor::latency() {
   if (merged_dirty_) {
     merged_latency_ = stats::Samples{};
-    for (const auto& rv : receivers_) {
-      for (const double x : rv.latency) merged_latency_.add(x);
-    }
+    segments_.merge_latency(merged_latency_);
     merged_dirty_ = false;
   }
   return merged_latency_;

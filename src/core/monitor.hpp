@@ -20,10 +20,11 @@
 // constant within a segment) so mid-run join/leave keeps the exact legacy
 // semantics. The decomposition is what makes the sharded engine possible:
 // each shard owns a monitor over its receivers, publisher changes are
-// broadcast through the epoch log, and the coordinator's cross-shard
-// reduction in global receiver order is bit-identical to the single-monitor
-// reduction (see DESIGN.md, "Sharded engine"). It is also the single biggest
-// serial win at scale: a receiver event costs O(1), not O(R).
+// broadcast through the epoch log, and one ConsistencyIntegral reduces over
+// the shard monitors in index order — the same code, terms and rounding as
+// a single monitor's reduction over itself (see DESIGN.md, "Sharded
+// engine"). It is also the single biggest serial win at scale: a receiver
+// event costs O(1), not O(R).
 #pragma once
 
 #include <cstdint>
@@ -40,6 +41,48 @@
 
 namespace sst::core {
 
+class ConsistencyMonitor;
+
+/// The segmented E[c] accumulator, reduced over an ordered sequence of
+/// monitors: a single monitor over itself, or the sharded engine's shard
+/// monitors in index order (contiguous receiver blocks, so the sequence
+/// visits receivers in global index order). closed_ holds ∫c dt over
+/// finished segments (membership constant within each); the open segment
+/// is reduced from the per-receiver integrals minus their checkpoints, with
+/// one CompensatedSum in sequence order and the divide by the active count
+/// after the sum. Receivers joining mid-run must append to the last monitor.
+class ConsistencyIntegral {
+ public:
+  ConsistencyIntegral(std::vector<ConsistencyMonitor*> monitors,
+                      sim::SimTime start);
+
+  /// ∫c dt from the last reset to `now` (advances the active receivers).
+  [[nodiscard]] double integral(sim::SimTime now);
+  /// Folds the open segment into closed_ and starts a new one at `now`.
+  /// Call at every membership change, before it: the active count jumps.
+  void close_segment(sim::SimTime now);
+  /// Restarts at `now`; call right after every monitor's reset_stats().
+  void reset(sim::SimTime now);
+
+  /// c(t) over the active receivers of every monitor.
+  [[nodiscard]] double instantaneous() const;
+  [[nodiscard]] std::size_t active_receivers() const;
+  /// Appends every receiver's latency samples, receiver-major in sequence
+  /// order (the insertion order the mean's compensated sum depends on).
+  void merge_latency(stats::Samples& out) const;
+
+ private:
+  double open_segment(sim::SimTime now);
+
+  std::vector<ConsistencyMonitor*> monitors_;
+  stats::CompensatedSum closed_;
+  // ∫c_r dt at the open segment's start, by receiver position in sequence
+  // order; receivers past the end joined after the last close and start
+  // from a zero integral.
+  std::vector<double> ckpt_;
+  sim::SimTime seg_start_;
+};
+
 /// Oracle measuring consistency and receive latency across one publisher and
 /// any number of receivers. Construct it BEFORE the workload starts so it
 /// observes every record from birth. Membership is dynamic: receivers may
@@ -54,8 +97,7 @@ namespace sst::core {
 /// each instance is SST_SHARD_LOCAL state, guarded at its owning site
 /// (core::Shard::monitor): the owning worker drives it during epochs, and
 /// the coordinator adopts the shard role between barriers for the
-/// cross-shard reductions (advance_all, receiver_integral, the latency
-/// merge).
+/// cross-shard ConsistencyIntegral reductions.
 class ConsistencyMonitor {
  public:
   ConsistencyMonitor(sim::Simulator& sim, PublisherTable& pub);
@@ -113,7 +155,9 @@ class ConsistencyMonitor {
   void reset_stats();
 
   /// Instantaneous system consistency c(t).
-  [[nodiscard]] double instantaneous() const;
+  [[nodiscard]] double instantaneous() const {
+    return segments_.instantaneous();
+  }
 
   /// Average system consistency E[c(t)] up to `now`.
   [[nodiscard]] double average_consistency();
@@ -141,33 +185,15 @@ class ConsistencyMonitor {
     return versions_received_;
   }
 
-  // ---------------------------------------------------------- shard surface
-  //
-  // The shard coordinator drives per-shard monitors through these. They are
-  // ordinary public API (used by tests too); nothing here is thread-aware —
-  // all cross-thread ordering is the coordinator's barrier protocol.
-
   /// Replays one publisher change into the live-set mirror. The subscribing
   /// constructor wires this to PublisherTable::subscribe; shard workers call
-  /// it directly in epoch-log order.
+  /// it directly in epoch-log order. Nothing here is thread-aware — all
+  /// cross-thread ordering is the shard coordinator's barrier protocol.
   void apply_publisher_change(const Record& rec, ChangeKind kind);
 
-  /// Folds every active receiver's consistency signal forward to `now`
-  /// without changing it (epoch fences, sample points, reductions).
-  void advance_all(sim::SimTime now);
-
-  /// ∫ c_r dt since the last reset for receiver `r` (advance first).
-  [[nodiscard]] double receiver_integral(std::size_t r) const {
-    return receivers_.at(r).avg.integral();
-  }
-
-  /// Receiver r's latency samples in receipt order (shard-merge input).
-  [[nodiscard]] const std::vector<double>& receiver_latency_samples(
-      std::size_t r) const {
-    return receivers_.at(r).latency;
-  }
-
  private:
+  friend class ConsistencyIntegral;
+
   struct LiveRec {
     Version version = 0;
     sim::SimTime introduced_at = 0.0;
@@ -187,7 +213,6 @@ class ConsistencyMonitor {
     std::unordered_map<Key, Version> counted;
     stats::TimeAverage avg;        // time average of c_r(t)
     std::vector<double> latency;   // first-receipt samples, receipt order
-    double ckpt = 0.0;             // ∫c_r dt at the open segment's start
     std::uint64_t attach_serial = 0;
     bool active = true;
     bool catching_up = true;       // not yet reached the threshold
@@ -201,12 +226,6 @@ class ConsistencyMonitor {
   /// Advances + re-values every active receiver (publisher changes move
   /// every c_r at once because |L| changes).
   void touch_all(sim::SimTime now);
-  /// ∫c dt over the open segment [seg_start_, now): advances the active
-  /// receivers and reduces their integrals in index order.
-  double open_segment_integral(sim::SimTime now);
-  /// Folds the open segment into closed_ and starts a new segment at `now`
-  /// (called at every membership change, where A jumps).
-  void close_segment(sim::SimTime now);
 
   sim::Simulator* sim_;
   std::vector<ReceiverView> receivers_;
@@ -219,11 +238,7 @@ class ConsistencyMonitor {
   std::size_t catching_up_count_ = 0;  // receivers still converging
   std::size_t active_count_ = 0;
 
-  // Segmented E[c] accumulator: closed_ holds ∫c dt over finished segments
-  // (membership constant within each), the open segment is reduced from the
-  // per-receiver integrals on demand.
-  stats::CompensatedSum closed_;
-  sim::SimTime seg_start_ = 0.0;
+  ConsistencyIntegral segments_;  // over this monitor alone
   sim::SimTime reset_time_ = 0.0;
 
   stats::Samples merged_latency_;

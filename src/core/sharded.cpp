@@ -24,8 +24,8 @@
 //   * Fault hooks (crash, partition, churn, bandwidth) run in coordinator
 //     context at fence-snapped barrier instants, where every clock is parked
 //     exactly at the hook time — the same state the single engine exposes —
-//     and dynamic membership mirrors the monitor's segmented E[c]
-//     accumulator at the global level (g_closed_/g_ckpt_ below).
+//     and dynamic membership closes the E[c] segment of the one
+//     ConsistencyIntegral that reduces over every shard monitor.
 #include "core/sharded.hpp"
 
 #include <algorithm>
@@ -46,7 +46,6 @@
 #include "core/rig_build.hpp"
 #include "net/loss.hpp"
 #include "sim/shard.hpp"
-#include "stats/compensated.hpp"
 #include "stats/histogram.hpp"
 
 namespace sst::core {
@@ -132,7 +131,7 @@ class ShardedEngine {
   void detach_receiver(std::size_t r) SST_REQUIRES_COORDINATOR;
   [[nodiscard]] double instantaneous_consistency() const
       SST_REQUIRES_COORDINATOR {
-    return global_instantaneous();
+    return consistency_->instantaneous();
   }
   [[nodiscard]] double repair_traffic() const SST_REQUIRES_COORDINATOR {
     return collector_.repair_traffic(tally());
@@ -167,17 +166,6 @@ class ShardedEngine {
       SST_REQUIRES_FENCE_SHARED;
   void warm_reset() SST_REQUIRES_ROOT SST_REQUIRES_SHARD;
   [[nodiscard]] Tally tally() const SST_REQUIRES_ROOT SST_REQUIRES_SHARD;
-  // Segmented global E[c] mirror (the single monitor's closed_/ckpt/seg_start
-  // machinery lifted to the cross-shard reduction): ∫c dt over the OPEN
-  // segment, the closed+open total, and the segment close performed at every
-  // membership change, where the active count jumps.
-  double open_global_integral(double now) SST_REQUIRES_ROOT
-      SST_REQUIRES_SHARD;
-  double global_consistency_integral(double now) SST_REQUIRES_ROOT
-      SST_REQUIRES_SHARD;
-  void close_global_segment(double now) SST_REQUIRES_ROOT SST_REQUIRES_SHARD;
-  [[nodiscard]] double global_instantaneous() const SST_REQUIRES_ROOT
-      SST_REQUIRES_SHARD;
   ExperimentResult collect(double end) SST_REQUIRES_ROOT SST_REQUIRES_SHARD;
 
   // Immutable after construction: readable from any role without a guard.
@@ -223,18 +211,11 @@ class ShardedEngine {
   Collector collector_ SST_ROOT_ONLY;
   bool warmed_ SST_ROOT_ONLY = false;
 
-  // Segmented global E[c] accumulator, mirroring ConsistencyMonitor's
-  // closed_/ckpt/seg_start_ machinery across shards: g_closed_ holds ∫c dt
-  // over finished segments (membership constant within each), the open
-  // segment is reduced from the per-shard raw integrals minus their
-  // checkpoints. With static membership every checkpoint stays 0.0 and
-  // g_closed_ stays empty, so the reduction is bit-for-bit the pre-fault
-  // engine's (x - 0.0 == x; the divide happens AFTER the compensated sum,
-  // exactly as in the monitor).
-  stats::CompensatedSum g_closed_ SST_ROOT_ONLY;
-  std::vector<double> g_ckpt_ SST_ROOT_ONLY;  // by global receiver index
-  double g_seg_start_ SST_ROOT_ONLY = 0.0;
-  std::size_t g_active_ SST_ROOT_ONLY = 0;
+  // E[c] over the shard monitors in index order: the same accumulator a
+  // single monitor reduces over itself, so the terms, their order and the
+  // rounding match the single engine's. The coordinator drives it between
+  // barriers, holding the shard role.
+  std::optional<ConsistencyIntegral> consistency_ SST_ROOT_ONLY;
 
   double last_integral_ SST_ROOT_ONLY = 0.0;
   ExperimentResult result_ SST_ROOT_ONLY;
@@ -316,8 +297,9 @@ ShardedEngine::ShardedEngine(const ExperimentConfig& cfg,
       locate_.emplace_back(s, shards_.back()->rigs.size() - 1);
     }
   }
-  g_active_ = locate_.size();
-  g_ckpt_.assign(locate_.size(), 0.0);
+  std::vector<ConsistencyMonitor*> monitors;
+  for (auto& sh : shards_) monitors.push_back(&sh->monitor);
+  consistency_.emplace(std::move(monitors), rsim_.now());
 
   // The sender's transmissions and probes fire on the root simulator
   // between barriers (its service process lives there): root role +
@@ -549,12 +531,7 @@ void ShardedEngine::warm_reset() {
   // the single engine records.
   warmed_ = true;
   for (auto& sh : shards_) sh->monitor.reset_stats();
-  // Segmented-mirror restart: the per-shard monitors just reset their raw
-  // integrals, so every checkpoint returns to zero and no segment is
-  // closed — the same state the single monitor's reset_stats() leaves.
-  g_closed_.reset();
-  std::fill(g_ckpt_.begin(), g_ckpt_.end(), 0.0);
-  g_seg_start_ = rsim_.now();
+  consistency_->reset(rsim_.now());
   collector_.warm(tally());
   // The sharded mirror of "after run_warmup()": statistics just reset, every
   // clock parked exactly at the cutoff — where the fault driver arms its
@@ -570,60 +547,6 @@ Tally ShardedEngine::tally() const {
   for (const auto& sh : shards_) t.add(sh->rigs, sh->data, sh->monitor);
   t.add_group(mcast_fb_.get());
   return t;
-}
-
-double ShardedEngine::open_global_integral(double now) {
-  // ConsistencyMonitor::open_segment_integral() with the per-receiver
-  // reduction spanning shards: advance everyone to `now`, then sum the
-  // active receivers' (integral - checkpoint) terms in GLOBAL receiver
-  // order with one CompensatedSum and divide AFTER the sum — the same
-  // terms, same order, same rounding as the single monitor.
-  for (auto& sh : shards_) sh->monitor.advance_all(now);
-  if (g_active_ == 0) return now - g_seg_start_;  // c(t) = 1 with no receivers
-  stats::CompensatedSum sum;
-  for (const auto& sh : shards_) {
-    for (std::size_t r = 0; r < sh->rigs.size(); ++r) {
-      if (!sh->monitor.active(r)) continue;
-      sum.add(sh->monitor.receiver_integral(r) - g_ckpt_[sh->base + r]);
-    }
-  }
-  return sum.value() / static_cast<double>(g_active_);
-}
-
-double ShardedEngine::global_consistency_integral(double now) {
-  // ConsistencyMonitor::consistency_integral(): finished segments plus the
-  // open one.
-  return g_closed_.value() + open_global_integral(now);
-}
-
-void ShardedEngine::close_global_segment(double now) {
-  // ConsistencyMonitor::close_segment(): fold the open segment into the
-  // closed accumulator and start a new one at `now`, re-checkpointing every
-  // active receiver's raw integral. Called at every membership change,
-  // where the active count jumps.
-  g_closed_.add(open_global_integral(now));
-  g_seg_start_ = now;
-  for (const auto& sh : shards_) {
-    for (std::size_t r = 0; r < sh->rigs.size(); ++r) {
-      if (!sh->monitor.active(r)) continue;
-      g_ckpt_[sh->base + r] = sh->monitor.receiver_integral(r);
-    }
-  }
-}
-
-double ShardedEngine::global_instantaneous() const {
-  // ConsistencyMonitor::instantaneous() over the global receiver order.
-  // Every shard mirrors the same live set; shard 0 always exists.
-  if (shards_[0]->monitor.live_count() == 0) return 1.0;
-  double sum = 0.0;
-  for (const auto& sh : shards_) {
-    for (std::size_t r = 0; r < sh->rigs.size(); ++r) {
-      if (!sh->monitor.active(r)) continue;
-      sum += sh->monitor.receiver_consistency(r);
-    }
-  }
-  if (g_active_ == 0) return 1.0;
-  return sum / static_cast<double>(g_active_);
 }
 
 ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
@@ -773,7 +696,7 @@ ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
     if (!warmed_ && b.time == cfg_.warmup) warm_reset();
     if (next_sample < samples.size() && b.time == samples[next_sample]) {
       ++next_sample;
-      const double integral = global_consistency_integral(b.time);
+      const double integral = consistency_->integral(b.time);
       result_.timeline.push_back(TimelinePoint{
           b.time, (integral - last_integral_) / cfg_.sample_interval});
       last_integral_ = integral;
@@ -787,23 +710,11 @@ ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
 ExperimentResult ShardedEngine::collect(double end) {
   EngineMeasures m;
   m.avg_consistency = end > cfg_.warmup
-                          ? global_consistency_integral(end) /
-                                (end - cfg_.warmup)
-                          : global_instantaneous();
-  // The hybrid blend's discrete weight mirrors monitor_.active_receivers().
-  m.active_receivers = g_active_;
-
-  // Latency merge: receiver-major in global receiver order — the exact
-  // insertion order the single monitor rebuilds, which the mean's
-  // compensated accumulation depends on.
+                          ? consistency_->integral(end) / (end - cfg_.warmup)
+                          : consistency_->instantaneous();
+  m.active_receivers = consistency_->active_receivers();
   stats::Samples lat;
-  for (const auto& sh : shards_) {
-    for (std::size_t r = 0; r < sh->rigs.size(); ++r) {
-      for (const double x : sh->monitor.receiver_latency_samples(r)) {
-        lat.add(x);
-      }
-    }
-  }
+  consistency_->merge_latency(lat);
   m.latency = &lat;
 
   // Redundancy: probe i was redundant iff every shard's local AND held.
@@ -869,13 +780,11 @@ void ShardedEngine::set_extra_loss_all(double p) {
 std::size_t ShardedEngine::add_receiver() {
   // The active count jumps: close the global segment first, over the
   // pre-join membership — the same order ConsistencyMonitor::attach uses.
-  close_global_segment(rsim_.now());
+  consistency_->close_segment(rsim_.now());
   const std::size_t r = locate_.size();
   Shard& sh = *shards_.back();  // tail shard keeps global order contiguous
   build_rig(sh, r);
   locate_.emplace_back(shards_.size() - 1, sh.rigs.size() - 1);
-  ++g_active_;
-  g_ckpt_.push_back(0.0);  // the joiner's raw integral starts at zero
   return r;
 }
 
@@ -886,8 +795,7 @@ void ShardedEngine::detach_receiver(std::size_t r) {
   // Close over the pre-leave membership, then drop the receiver — the same
   // order ConsistencyMonitor::detach uses (its own shard-local close runs
   // inside detach(), at the same parked instant).
-  close_global_segment(rsim_.now());
-  --g_active_;
+  consistency_->close_segment(rsim_.now());
   rig::detach(rig::Block{sh.sim, sh.monitor, sh.data, sh.rigs}, i,
               mcast_fb_.get());
 }

@@ -2,6 +2,8 @@
 // receive latency, checked against hand-computed scenarios.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "core/monitor.hpp"
 #include "core/table.hpp"
 #include "sim/simulator.hpp"
@@ -265,6 +267,68 @@ TEST(Monitor, TimeAverageAcrossMembershipChange) {
   sim.at(4.0, [&] { monitor.detach(1); });
   sim.run_until(10.0);
   EXPECT_NEAR(monitor.average_consistency(), (0.5 * 4 + 1.0 * 6) / 10, 1e-12);
+}
+
+// ------------------------------------------------- sharded reduction
+
+// The sharded engine reduces E[c] over its shard monitors with the same
+// ConsistencyIntegral a single monitor runs over itself. Split the same
+// receivers across two shard-mode monitors: through a reset, a late join
+// on the tail monitor and a leave, every reduction must equal the single
+// monitor's bit for bit.
+TEST(ConsistencyIntegral, ShardMonitorsReduceLikeOneMonitor) {
+  sim::Simulator sim;
+  PublisherTable pub;
+  ConsistencyMonitor whole(sim, pub);
+  ConsistencyMonitor lo(sim), hi(sim);
+  pub.subscribe([&](const Record& rec, ChangeKind kind) {
+    lo.apply_publisher_change(rec, kind);
+    hi.apply_publisher_change(rec, kind);
+  });
+  ConsistencyIntegral split({&lo, &hi}, sim.now());
+  std::deque<ReceiverTable> one, two;  // the same receivers, twice
+  const auto join = [&](ConsistencyMonitor& shard) {
+    split.close_segment(sim.now());
+    whole.attach(one.emplace_back(sim, 0.0));
+    shard.attach(two.emplace_back(sim, 0.0));
+  };
+  const auto refresh = [&](std::size_t r, Key key, Version version) {
+    one[r].refresh(key, version);
+    two[r].refresh(key, version);
+  };
+  join(lo);
+  join(hi);
+  const Key a = pub.insert({}, 100);
+  const Key b = pub.insert({}, 100);
+  sim.at(1.5, [&] { refresh(0, a, 1); });
+  sim.at(2.0, [&] {
+    whole.reset_stats();
+    lo.reset_stats();
+    hi.reset_stats();
+    split.reset(sim.now());
+  });
+  sim.at(2.25, [&] { refresh(1, b, 1); });
+  sim.at(3.0, [&] { join(hi); });
+  sim.at(4.5, [&] {
+    refresh(2, a, 1);
+    pub.update(b, {});
+  });
+  sim.at(6.0, [&] {
+    split.close_segment(sim.now());
+    whole.detach(1);
+    hi.detach(0);
+  });
+  sim.at(7.25, [&] { refresh(2, b, 2); });
+  sim.run_until(10.0);
+
+  EXPECT_EQ(split.integral(sim.now()), whole.consistency_integral());
+  EXPECT_EQ(split.instantaneous(), whole.instantaneous());
+  EXPECT_EQ(split.active_receivers(), whole.active_receivers());
+  stats::Samples merged;
+  split.merge_latency(merged);
+  ASSERT_EQ(merged.count(), 2u);  // r1's b@v1 and the joiner's b@v2
+  ASSERT_EQ(whole.latency().count(), 2u);
+  EXPECT_EQ(merged.mean(), whole.latency().mean());
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #
 # Skips with 77 (ctest SKIP_RETURN_CODE) when no Clang toolchain is
 # installed: the annotations expand to nothing under GCC, so there is
-# nothing to check — sstlyz's textual fence/ownership rules still run there.
+# nothing to check — sstlint's textual fence/ownership rules still run there.
 #
 # usage: check_analyze.sh [BUILD_DIR]   (scratch tree, default
 #        build-analyze next to the regular build)

@@ -1,24 +1,22 @@
 #!/bin/sh
 # Static-analysis gate (ctest label `lint`). Modes:
 #
-#   --sstlint            repo-specific determinism lint: self-test the rules
-#                        against tools/lint_fixtures/, then lint src/ and
-#                        bench/ and audit the suppression allowlist
-#                        (tools/sstlint_allowlist.txt) for drift.
-#   --sstlyz [BUILD]     AST-grade concurrency/determinism analyzer
-#                        (tools/sstlyz.py): self-test the rules against
-#                        tools/lyz_fixtures/, then scan src/, bench/ and
-#                        examples/ and audit tools/sstlyz_allowlist.txt.
-#                        Uses BUILD/compile_commands.json to pick the real
-#                        translation units when present.
-#   --sstlyz-malformed   failure-mode check: a malformed compile_commands
+#   --sstlint            repo-specific determinism/concurrency analyzer
+#                        (tools/sstlint.py, all 13 rules): self-test the
+#                        rules against tools/lint_fixtures/, then scan src/,
+#                        bench/ and examples/ and audit the suppression
+#                        allowlist (tools/sstlint_allowlist.txt) for drift.
+#   --compile-db [BUILD] the same audited scan (with --stats), restricted to
+#                        the translation units of BUILD/compile_commands.json
+#                        when present (a plain tree walk otherwise).
+#   --malformed-db       failure-mode check: a malformed compile_commands
 #                        file must be a readable HARD failure (exit 2 and a
 #                        message naming the file), never a silent empty scan.
 #   --clang-tidy [BUILD] curated .clang-tidy set over src/ translation
 #                        units, using BUILD/compile_commands.json
 #                        (default build dir: build).
 #
-# With no mode flag, runs sstlint + sstlyz (and clang-tidy softly, with a
+# With no mode flag, runs both sstlint scans (and clang-tidy softly, with a
 # note when the binary is missing). Each mode is registered as its own ctest
 # entry so a missing tool skips (exit 77 via SKIP_RETURN_CODE) instead of
 # failing tier-1, exactly like tools/check_bench.sh.
@@ -28,37 +26,34 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 mode=${1:---all}
 build_dir=${2:-"$repo_root/build"}
 
-run_sstlint() {
+need_python() {
   command -v python3 > /dev/null 2>&1 || {
     echo "SKIP: python3 not available for sstlint" >&2
     exit 77
   }
+}
+
+run_sstlint() {
+  need_python
   python3 "$repo_root/tools/sstlint.py" --self-test
   python3 "$repo_root/tools/sstlint.py" --repo "$repo_root" --audit
 }
 
-run_sstlyz() {
-  command -v python3 > /dev/null 2>&1 || {
-    echo "SKIP: python3 not available for sstlyz" >&2
-    exit 77
-  }
-  python3 "$repo_root/tools/sstlyz.py" --self-test
+run_compile_db() {
+  need_python
   if [ -f "$build_dir/compile_commands.json" ]; then
-    python3 "$repo_root/tools/sstlyz.py" --repo "$repo_root" --audit --stats \
+    python3 "$repo_root/tools/sstlint.py" --repo "$repo_root" --audit --stats \
       --compile-commands "$build_dir/compile_commands.json"
   else
-    python3 "$repo_root/tools/sstlyz.py" --repo "$repo_root" --audit --stats
+    python3 "$repo_root/tools/sstlint.py" --repo "$repo_root" --audit --stats
   fi
 }
 
-run_sstlyz_malformed() {
-  command -v python3 > /dev/null 2>&1 || {
-    echo "SKIP: python3 not available for sstlyz" >&2
-    exit 77
-  }
+run_malformed_db() {
+  need_python
   set +e
-  out=$(python3 "$repo_root/tools/sstlyz.py" --repo "$repo_root" \
-    --compile-commands "$repo_root/tools/lyz_fixtures/bad_compile_commands.json" \
+  out=$(python3 "$repo_root/tools/sstlint.py" --repo "$repo_root" \
+    --compile-commands "$repo_root/tools/lint_fixtures/bad_compile_commands.json" \
     2>&1)
   status=$?
   set -e
@@ -98,13 +93,13 @@ run_clang_tidy() {
 }
 
 case "$mode" in
-  --sstlint)          run_sstlint ;;
-  --sstlyz)           run_sstlyz ;;
-  --sstlyz-malformed) run_sstlyz_malformed ;;
-  --clang-tidy)       run_clang_tidy hard ;;
-  --all)              run_sstlint; run_sstlyz; run_clang_tidy soft ;;
+  --sstlint)      run_sstlint ;;
+  --compile-db)   run_compile_db ;;
+  --malformed-db) run_malformed_db ;;
+  --clang-tidy)   run_clang_tidy hard ;;
+  --all)          run_sstlint; run_compile_db; run_clang_tidy soft ;;
   *)
-    echo "usage: $0 [--sstlint | --sstlyz [build-dir] | --sstlyz-malformed |" \
+    echo "usage: $0 [--sstlint | --compile-db [build-dir] | --malformed-db |" \
          "--clang-tidy [build-dir] | --all]" >&2
     exit 2
     ;;

@@ -1,6 +1,6 @@
 // known_bad.cpp — sstlint self-test fixture (never compiled).
 //
-// Seeds exactly ONE violation of every sstlint rule; the self-test asserts
+// Seeds exactly ONE violation of every line rule; the self-test asserts
 // each rule fires exactly once here, so a rule that silently stops matching
 // (or starts double-reporting) fails `tools/sstlint.py --self-test`.
 // Scanned under the virtual path src/stats/known_bad.cpp so the

@@ -1,8 +1,6 @@
 // sstlint fixture: sorted-snapshot collect loops must NOT trip
 // unordered-iter — in both braceless shapes (body on the for line, body on
-// the following line). Also carries an allow() naming a rule owned by
-// tools/sstlyz.py: sstlint must pass it through rather than reporting an
-// unknown-rule bad-suppression. Never compiled.
+// the following line). Never compiled.
 #include <algorithm>
 #include <unordered_map>
 #include <vector>
@@ -25,9 +23,6 @@ class Table {
     std::sort(keys.begin(), keys.end());
     return keys;
   }
-
-  // Passthrough: iter-taint belongs to sstlyz; sstlint must stay silent.
-  void touch() const {}  // sstlint: allow(iter-taint)
 
  private:
   std::unordered_map<int, int> members_;
