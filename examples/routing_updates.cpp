@@ -40,6 +40,7 @@ struct Router {
   PublisherTable rib;  // routing information base at the speaker
   std::vector<Key> routes;
   std::unique_ptr<ConsistencyMonitor> monitor;
+  std::unique_ptr<ConsistencyIntegral> consistency;  // c(t) over `monitor`
   std::unique_ptr<Workload> workload;
   std::unique_ptr<ReceiverTable> peer_rib;
   std::unique_ptr<ReceiverAgent> peer;
@@ -51,6 +52,8 @@ struct Router {
 
   explicit Router(bool use_feedback) {
     monitor = std::make_unique<ConsistencyMonitor>(sim, rib);
+    consistency = std::make_unique<ConsistencyIntegral>(
+        std::vector<ConsistencyMonitor*>{monitor.get()}, sim.now());
     WorkloadParams wp;  // all changes injected manually
     wp.insert_rate = 0.0;
     wp.death_mode = DeathMode::kPerTransmission;
@@ -60,7 +63,7 @@ struct Router {
 
     peer_rib = std::make_unique<ReceiverTable>(sim, /*ttl=*/300.0);  // ~10x the
     // refresh cycle, RIP-style margin against refresh loss
-    monitor->attach(*peer_rib);
+    consistency->attach(*monitor, *peer_rib);
 
     channel = std::make_unique<net::Channel<DataMsg>>(sim);
 
@@ -128,7 +131,7 @@ struct Router {
       rib.update(k, {static_cast<std::uint8_t>(rng.uniform_int(16))});
     }
     const double t0 = sim.now();
-    while (monitor->instantaneous() < 1.0 && sim.now() < t0 + 600.0) {
+    while (consistency->instantaneous() < 1.0 && sim.now() < t0 + 600.0) {
       sim.run_until(sim.now() + 0.1);
     }
     return sim.now() - t0;
@@ -151,7 +154,7 @@ int main() {
     std::printf("[%s] initial table synced: consistency=%.2f, peer holds "
                 "%zu/%d routes\n",
                 use_feedback ? "feedback " : "open loop",
-                router.monitor->instantaneous(), router.peer_rib->size(),
+                router.consistency->instantaneous(), router.peer_rib->size(),
                 kRoutes);
 
     sim::Rng rng(99);

@@ -33,15 +33,6 @@ double smax(double a, double b, double eps) {
   return 0.5 * (a + b + std::sqrt(d * d + eps));
 }
 
-// P[at least one of `m` receivers requests a repair of a given
-// transmission], with per-receiver request probability `q`. Computed in log
-// space so m = 10^7 neither under- nor overflows.
-double cohort_request_prob(double q, double m) {
-  if (q <= 0.0 || m <= 0.0) return 0.0;
-  if (q >= 1.0) return 1.0;
-  return -std::expm1(m * std::log1p(-q));
-}
-
 }  // namespace
 
 FluidIntegrator::FluidIntegrator(FluidParams params) : p_(params) {

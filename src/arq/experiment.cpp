@@ -38,10 +38,11 @@ HardStateResult run_hard_state(const HardStateConfig& cfg) {
 
   core::PublisherTable pub;
   core::ConsistencyMonitor monitor(sim, pub);
+  core::ConsistencyIntegral consistency({&monitor}, sim.now());
   core::Workload workload(sim, pub, cfg.workload, root.fork("workload"));
 
   core::ReceiverTable recv_table(sim, /*ttl=*/0.0);  // hard state: no expiry
-  monitor.attach(recv_table);
+  consistency.attach(monitor, recv_table);
 
   // Forward path: sender -> rate-limited link -> lossy channel -> receiver.
   // Reverse path symmetric for ACKs.
@@ -121,7 +122,7 @@ HardStateResult run_hard_state(const HardStateConfig& cfg) {
   workload.start();
 
   sim.run_until(cfg.warmup);
-  monitor.reset_stats();
+  consistency.reset(sim.now());
   const ArqSenderStats warm_s = sender.stats();
   const ArqReceiverStats warm_r = receiver.stats();
   const double warm_fwd_bytes = fwd_channel.stats().bytes_sent;
@@ -133,7 +134,7 @@ HardStateResult run_hard_state(const HardStateConfig& cfg) {
   if (cfg.sample_interval > 0) {
     sampler = std::make_unique<sim::PeriodicTimer>(sim);
     sampler->start(cfg.sample_interval, [&] {
-      const double integral = monitor.consistency_integral();
+      const double integral = consistency.integral(sim.now());
       result.timeline.push_back(core::TimelinePoint{
           sim.now(), (integral - last_integral) / cfg.sample_interval});
       last_integral = integral;
@@ -142,9 +143,10 @@ HardStateResult run_hard_state(const HardStateConfig& cfg) {
   sim.run_until(cfg.warmup + cfg.duration);
   if (sampler) sampler->stop();
 
-  result.avg_consistency = monitor.average_consistency();
-  result.mean_latency = monitor.latency().mean();
-  result.p95_latency = monitor.latency().quantile(0.95);
+  result.avg_consistency = consistency.average(sim.now());
+  stats::Samples latency = consistency.latency();
+  result.mean_latency = latency.mean();
+  result.p95_latency = latency.quantile(0.95);
 
   const ArqSenderStats& s = sender.stats();
   const ArqReceiverStats& r = receiver.stats();

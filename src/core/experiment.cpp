@@ -15,6 +15,7 @@ Experiment::Experiment(ExperimentConfig config)
     : cfg_(std::move(config)),
       root_(cfg_.seed),
       monitor_(sim_, pub_),
+      consistency_({&monitor_}, sim_.now()),
       workload_(sim_, pub_, cfg_.workload, root_.fork("workload")),
       data_channel_(sim_),
       collector_(cfg_) {
@@ -59,7 +60,8 @@ std::size_t Experiment::add_receiver() {
   // (unicast) or the group (multicast) directly, and it overhears the group
   // through a local endpoint.
   return rig::build_receiver(
-      cfg_, root_, rig::Block{sim_, monitor_, data_channel_, receivers_},
+      cfg_, root_,
+      rig::Block{sim_, monitor_, consistency_, data_channel_, receivers_},
       receivers_.size(),
       [this](const NackMsg& nack) { group_nack_send(nack); },
       [this](net::Channel<NackMsg>& channel,
@@ -120,21 +122,14 @@ Tally Experiment::tally() const {
 
 void Experiment::run_warmup() {
   sim_.run_until(cfg_.warmup);
-  monitor_.reset_stats();
+  consistency_.reset(sim_.now());
   redundant_tx_ = 0;
   collector_.warm(tally());
 
-  // Optional c(t) timeline via integral differencing.
   if (cfg_.sample_interval > 0) {
     sampler_ = std::make_unique<sim::PeriodicTimer>(sim_);
-    last_integral_ = 0.0;
-    const double interval = cfg_.sample_interval;
-    sampler_->start(interval, [this, interval] {
-      const double integral = monitor_.consistency_integral();
-      result_.timeline.push_back(
-          TimelinePoint{sim_.now(), (integral - last_integral_) / interval});
-      last_integral_ = integral;
-    });
+    sampler_->start(cfg_.sample_interval,
+                    [this] { collector_.sample(consistency_, sim_.now()); });
   }
 }
 
@@ -165,20 +160,16 @@ void Experiment::set_extra_loss_all(double p) {
 
 void Experiment::detach_receiver(std::size_t r) {
   if (!receivers_.at(r).active) return;
-  rig::detach(rig::Block{sim_, monitor_, data_channel_, receivers_}, r,
-              mcast_fb_.get());
+  rig::detach(
+      rig::Block{sim_, monitor_, consistency_, data_channel_, receivers_}, r,
+      mcast_fb_.get());
 }
 
 ExperimentResult Experiment::finish() {
   sim_.run_until(end_time());
   if (sampler_) sampler_->stop();
-  EngineMeasures m;
-  m.avg_consistency = monitor_.average_consistency();
-  m.active_receivers = monitor_.active_receivers();
-  m.latency = &monitor_.latency();
-  m.redundant_tx = redundant_tx_;
-  collector_.fill(result_, tally(), *sender_, workload_, pub_, m);
-  return result_;
+  return collector_.result(tally(), *sender_, workload_, pub_, consistency_,
+                           sim_.now(), redundant_tx_);
 }
 
 analysis::FluidParams fluid_params_from(const ExperimentConfig& cfg) {

@@ -271,16 +271,10 @@ struct Tally {
   void add_group(const net::Channel<NackMsg>* group);
 };
 
-/// What only the engine can measure when the run ends.
-struct EngineMeasures {
-  double avg_consistency = 0.0;       // E[c] over the discrete receivers
-  std::size_t active_receivers = 0;   // their weight in the hybrid blend
-  stats::Samples* latency = nullptr;  // merged in global receiver order
-  std::uint64_t redundant_tx = 0;
-};
-
-/// The warm-up baseline, the hybrid fluid cohort, and every result field
-/// both engines compute the same way.
+/// The warm-up baseline, the hybrid fluid cohort, the c(t) timeline, and
+/// every result field both engines compute the same way. E[c], the timeline
+/// and the latency statistics are read from the engine's one
+/// ConsistencyIntegral.
 class Collector {
  public:
   /// Attaches the fluid cohort when cfg.backend is kHybrid: an aggregate
@@ -292,20 +286,27 @@ class Collector {
   /// statistics, and records `baseline`.
   void warm(const Tally& baseline);
   void advance_cohort(double t);
+  /// Appends the timeline point at `now`: c(t) averaged over the last
+  /// sample interval, by differencing ∫c dt.
+  void sample(ConsistencyIntegral& consistency, double now);
   /// NACK packets sent plus repair transmissions (plus the cohort's
   /// modeled repair flows): the RecoveryTracker traffic counter.
   [[nodiscard]] double repair_traffic(const Tally& now) const;
 
-  /// Fills `out` from the end-of-run tally and the engine's measures,
-  /// blending the cohort into avg_consistency with population weights.
-  void fill(ExperimentResult& out, const Tally& end, const SenderSide& sender,
-            const Workload& workload, const PublisherTable& pub,
-            const EngineMeasures& engine);
+  /// Every metric of the run ending at `now`, from the end-of-run tally and
+  /// the engine's integral and redundancy count, blending the cohort into
+  /// avg_consistency with population weights.
+  ExperimentResult result(const Tally& end, const SenderSide& sender,
+                          const Workload& workload, const PublisherTable& pub,
+                          ConsistencyIntegral& consistency, double now,
+                          std::uint64_t redundant_tx);
 
  private:
   const ExperimentConfig* cfg_;
   Tally warm_;
   std::unique_ptr<analysis::FluidIntegrator> fluid_;
+  std::vector<TimelinePoint> timeline_;
+  double last_integral_ = 0.0;
 };
 
 /// The experiment rig, held open between run steps so faults can be applied
@@ -343,7 +344,7 @@ class Experiment {
   [[nodiscard]] double now() const { return sim_.now(); }
   [[nodiscard]] double end_time() const { return cfg_.warmup + cfg_.duration; }
   [[nodiscard]] double instantaneous_consistency() const {
-    return monitor_.instantaneous();
+    return consistency_.instantaneous();
   }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
@@ -416,6 +417,7 @@ class Experiment {
   // Construction order fixes listener order: monitor sees changes first, so
   // consistency bookkeeping is current when protocol hooks run.
   ConsistencyMonitor monitor_;
+  ConsistencyIntegral consistency_;  // over monitor_
   Workload workload_;
   net::Channel<DataMsg> data_channel_;
   std::unique_ptr<net::Channel<NackMsg>> mcast_fb_;
@@ -429,8 +431,6 @@ class Experiment {
   Collector collector_;
 
   std::unique_ptr<sim::PeriodicTimer> sampler_;
-  double last_integral_ = 0.0;
-  ExperimentResult result_;
 };
 
 /// Maps an experiment configuration onto the mean-field model's parameter

@@ -6,10 +6,27 @@ namespace sst::core {
 
 ConsistencyIntegral::ConsistencyIntegral(
     std::vector<ConsistencyMonitor*> monitors, sim::SimTime start)
-    : monitors_(std::move(monitors)), seg_start_(start) {}
+    : monitors_(std::move(monitors)), seg_start_(start), reset_at_(start) {}
+
+std::size_t ConsistencyIntegral::attach(ConsistencyMonitor& monitor,
+                                        ReceiverTable& recv) {
+  close_segment(monitor.sim_->now());
+  return monitor.attach(recv);
+}
+
+void ConsistencyIntegral::detach(ConsistencyMonitor& monitor, std::size_t r) {
+  if (!monitor.active(r)) return;
+  close_segment(monitor.sim_->now());
+  monitor.detach(r);
+}
 
 double ConsistencyIntegral::integral(sim::SimTime now) {
   return closed_.value() + open_segment(now);
+}
+
+double ConsistencyIntegral::average(sim::SimTime now) {
+  if (!(now > reset_at_)) return instantaneous();
+  return integral(now) / (now - reset_at_);
 }
 
 double ConsistencyIntegral::open_segment(sim::SimTime now) {
@@ -33,6 +50,10 @@ double ConsistencyIntegral::open_segment(sim::SimTime now) {
 }
 
 void ConsistencyIntegral::close_segment(sim::SimTime now) {
+  // Every active integral already stands at seg_start_: the segment would
+  // add +0.0 and rewrite the checkpoints to their current values. Returning
+  // keeps same-instant joins (all of construction) O(1) instead of O(R).
+  if (now == seg_start_) return;
   closed_.add(open_segment(now));
   seg_start_ = now;
   std::size_t pos = 0;
@@ -46,9 +67,11 @@ void ConsistencyIntegral::close_segment(sim::SimTime now) {
 }
 
 void ConsistencyIntegral::reset(sim::SimTime now) {
+  for (ConsistencyMonitor* m : monitors_) m->reset_stats();
   closed_.reset();
   ckpt_.clear();
   seg_start_ = now;
+  reset_at_ = now;
 }
 
 double ConsistencyIntegral::instantaneous() const {
@@ -74,12 +97,14 @@ std::size_t ConsistencyIntegral::active_receivers() const {
   return active;
 }
 
-void ConsistencyIntegral::merge_latency(stats::Samples& out) const {
+stats::Samples ConsistencyIntegral::latency() const {
+  stats::Samples out;
   for (const ConsistencyMonitor* m : monitors_) {
     for (const auto& rv : m->receivers_) {
       for (const double x : rv.latency) out.add(x);
     }
   }
+  return out;
 }
 
 ConsistencyMonitor::ConsistencyMonitor(sim::Simulator& sim,
@@ -90,12 +115,10 @@ ConsistencyMonitor::ConsistencyMonitor(sim::Simulator& sim,
   });
 }
 
-ConsistencyMonitor::ConsistencyMonitor(sim::Simulator& sim)
-    : sim_(&sim), segments_({this}, sim.now()), reset_time_(sim.now()) {}
+ConsistencyMonitor::ConsistencyMonitor(sim::Simulator& sim) : sim_(&sim) {}
 
 std::size_t ConsistencyMonitor::attach(ReceiverTable& recv) {
   const sim::SimTime now = sim_->now();
-  segments_.close_segment(now);
   const std::size_t r = receivers_.size();
   ReceiverView view;
   view.table = &recv;
@@ -106,7 +129,6 @@ std::size_t ConsistencyMonitor::attach(ReceiverTable& recv) {
   view.avg = stats::TimeAverage(now, live_.empty() ? 1.0 : 0.0);
   receivers_.push_back(std::move(view));
   ++active_count_;
-  ++catching_up_count_;
   recv.on_refresh([this, r](Key key, Version version, bool, bool) {
     on_receiver_refresh(r, key, version);
   });
@@ -119,14 +141,9 @@ std::size_t ConsistencyMonitor::attach(ReceiverTable& recv) {
 
 void ConsistencyMonitor::detach(std::size_t r) {
   auto& rv = receivers_.at(r);
-  if (!rv.active) return;
-  segments_.close_segment(sim_->now());
   rv.active = false;
+  rv.catching_up = false;
   --active_count_;
-  if (rv.catching_up) {
-    rv.catching_up = false;
-    --catching_up_count_;
-  }
 }
 
 double ConsistencyMonitor::receiver_consistency(std::size_t r) const {
@@ -142,31 +159,8 @@ void ConsistencyMonitor::reset_stats() {
     if (rv.active) rv.avg.reset(now);
     rv.latency.clear();
   }
-  segments_.reset(now);
-  reset_time_ = now;
-  merged_latency_ = stats::Samples{};
-  merged_dirty_ = false;
   versions_introduced_ = 0;
   versions_received_ = 0;
-}
-
-double ConsistencyMonitor::average_consistency() {
-  const sim::SimTime now = sim_->now();
-  if (!(now > reset_time_)) return instantaneous();
-  return consistency_integral() / (now - reset_time_);
-}
-
-double ConsistencyMonitor::consistency_integral() {
-  return segments_.integral(sim_->now());
-}
-
-stats::Samples& ConsistencyMonitor::latency() {
-  if (merged_dirty_) {
-    merged_latency_ = stats::Samples{};
-    segments_.merge_latency(merged_latency_);
-    merged_dirty_ = false;
-  }
-  return merged_latency_;
 }
 
 void ConsistencyMonitor::touch_all(sim::SimTime now) {
@@ -181,10 +175,9 @@ void ConsistencyMonitor::touch_all(sim::SimTime now) {
 void ConsistencyMonitor::check_catch_up(std::size_t r, sim::SimTime now) {
   auto& rv = receivers_[r];
   if (!rv.active || !rv.catching_up) return;
-  if (receiver_consistency(r) >= catch_up_threshold_) {
+  if (receiver_consistency(r) >= kCatchUpThreshold) {
     rv.catching_up = false;
     rv.catch_up_latency = now - rv.joined_at;
-    --catching_up_count_;
   }
 }
 
@@ -241,7 +234,6 @@ void ConsistencyMonitor::on_receiver_refresh(std::size_t r, Key key,
       if (counted_it == rv.counted.end() || counted_it->second < version) {
         rv.counted[key] = version;
         rv.latency.push_back(now - live_it->second.introduced_at);
-        merged_dirty_ = true;
         ++versions_received_;
       }
     }

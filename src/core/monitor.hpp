@@ -1,30 +1,34 @@
 // monitor.hpp — the consistency metric c(k,t), c(t), E[c(t)] and the receive
 // latency T_recv (paper Section 2.1).
 //
-// The monitor is a simulation-side oracle: it observes the publisher table
-// and every receiver table through their listener hooks and maintains, at all
-// times, the number of live records and the number of them each receiver
-// holds consistently (same version <=> same value). The instantaneous system
-// consistency is
-//     c(t) = (1/R) * sum_r |consistent_r(t)| / |L(t)|     (c(t)=1 if L empty)
-// and E[c(t)] is its exact time average, accumulated event-by-event because
-// c(t) is piecewise constant.
+// Two classes, one job each. ConsistencyMonitor is a per-receiver mirror: a
+// simulation-side oracle that observes the publisher table and every
+// receiver table through their listener hooks and maintains, at all times,
+// the live set, each receiver's consistent set (same version <=> same
+// value), its own signal
+//     c_r(t) = |consistent_r(t)| / |L(t)|                  (1 if L empty)
+// as an exact time average, its first-receipt latency samples and its
+// catch-up state. It computes no aggregate.
 //
-// Decomposed form (sharded engine). c(t) is a sum of per-receiver signals
-// c_r(t) = |consistent_r(t)| / |L(t)| that change only at (a) that receiver's
-// own refresh/expire events and (b) publisher changes. The monitor therefore
-// keeps one TimeAverage per receiver and reduces
-//     ∫ c dt = (1/A) * sum_r ∫ c_r dt
-// over the active set in receiver-index order with a CompensatedSum at query
-// time. Dynamic membership closes the current segment (the active set A is
-// constant within a segment) so mid-run join/leave keeps the exact legacy
-// semantics. The decomposition is what makes the sharded engine possible:
-// each shard owns a monitor over its receivers, publisher changes are
-// broadcast through the epoch log, and one ConsistencyIntegral reduces over
-// the shard monitors in index order — the same code, terms and rounding as
-// a single monitor's reduction over itself (see DESIGN.md, "Sharded
-// engine"). It is also the single biggest serial win at scale: a receiver
-// event costs O(1), not O(R).
+// ConsistencyIntegral is the one owner of the aggregates, reduced over an
+// ordered sequence of monitors: the instantaneous system consistency
+//     c(t) = (1/R) * sum_r c_r(t)                          (1 if R = 0)
+// its integral ∫ c dt = (1/A) * sum_r ∫ c_r dt over the active set A
+// (CompensatedSum in receiver-index order at query time), E[c(t)] as the
+// integral over the time since the last reset, the active count and the
+// merged latency samples. c(t) is piecewise constant, so the average is
+// exact. Membership changes go through the integral: it closes the current
+// segment (A is constant within one) and then attaches or detaches the
+// receiver at the monitor, so each segment averages over exactly the
+// receivers attached during it.
+//
+// The decomposition is what makes the sharded engine possible: each shard
+// owns a monitor over its receivers, publisher changes are broadcast
+// through the epoch log, and the engine's one ConsistencyIntegral reduces
+// over the shard monitors in index order — the same code, terms and
+// rounding as the single-queue engine's integral over its one monitor (see
+// DESIGN.md, "Sharded engine"). It is also the single biggest serial win at
+// scale: a receiver event costs O(1), not O(R).
 #pragma once
 
 #include <cstdint>
@@ -43,35 +47,52 @@ namespace sst::core {
 
 class ConsistencyMonitor;
 
-/// The segmented E[c] accumulator, reduced over an ordered sequence of
-/// monitors: a single monitor over itself, or the sharded engine's shard
-/// monitors in index order (contiguous receiver blocks, so the sequence
-/// visits receivers in global index order). closed_ holds ∫c dt over
-/// finished segments (membership constant within each); the open segment
-/// is reduced from the per-receiver integrals minus their checkpoints, with
-/// one CompensatedSum in sequence order and the divide by the active count
-/// after the sum. Receivers joining mid-run must append to the last monitor.
+/// The segmented E[c] accumulator and the only reader of aggregates,
+/// reduced over an ordered sequence of monitors: the single-queue engine's
+/// one monitor, or the sharded engine's shard monitors in index order
+/// (contiguous receiver blocks, so the sequence visits receivers in global
+/// index order). closed_ holds ∫c dt over finished segments (membership
+/// constant within each); the open segment is reduced from the per-receiver
+/// integrals minus their checkpoints, with one CompensatedSum in sequence
+/// order and the divide by the active count after the sum.
 class ConsistencyIntegral {
  public:
   ConsistencyIntegral(std::vector<ConsistencyMonitor*> monitors,
                       sim::SimTime start);
 
+  ConsistencyIntegral(const ConsistencyIntegral&) = delete;
+  ConsistencyIntegral& operator=(const ConsistencyIntegral&) = delete;
+
+  /// Attaches `recv` to `monitor` (one of the sequence; the last one for a
+  /// mid-run joiner) at the monitor's clock, closing the segment first: the
+  /// active count jumps. Returns the receiver's index in `monitor`.
+  std::size_t attach(ConsistencyMonitor& monitor, ReceiverTable& recv);
+  /// Detaches receiver `r` of `monitor` the same way (no-op if it already
+  /// left).
+  void detach(ConsistencyMonitor& monitor, std::size_t r);
+
   /// ∫c dt from the last reset to `now` (advances the active receivers).
   [[nodiscard]] double integral(sim::SimTime now);
-  /// Folds the open segment into closed_ and starts a new one at `now`.
-  /// Call at every membership change, before it: the active count jumps.
-  void close_segment(sim::SimTime now);
-  /// Restarts at `now`; call right after every monitor's reset_stats().
+  /// E[c(t)] from the last reset to `now`; c(t) itself for an empty window.
+  [[nodiscard]] double average(sim::SimTime now);
+  /// Discards the statistics of every monitor and restarts at `now` (the
+  /// warm-up cutoff). Live-set and consistency state are preserved.
   void reset(sim::SimTime now);
 
   /// c(t) over the active receivers of every monitor.
   [[nodiscard]] double instantaneous() const;
   [[nodiscard]] std::size_t active_receivers() const;
-  /// Appends every receiver's latency samples, receiver-major in sequence
-  /// order (the insertion order the mean's compensated sum depends on).
-  void merge_latency(stats::Samples& out) const;
+  /// Receive-latency samples since the last reset: time from a (key,
+  /// version) entering the system to its FIRST receipt at each receiver,
+  /// over successful deliveries only (the paper's T_recv). Merged
+  /// receiver-major in sequence order, the insertion order the mean's
+  /// compensated sum depends on.
+  [[nodiscard]] stats::Samples latency() const;
 
  private:
+  /// Folds the open segment into closed_ and starts a new one at `now`.
+  /// A zero-width segment adds nothing and moves no checkpoint.
+  void close_segment(sim::SimTime now);
   double open_segment(sim::SimTime now);
 
   std::vector<ConsistencyMonitor*> monitors_;
@@ -81,13 +102,13 @@ class ConsistencyIntegral {
   // from a zero integral.
   std::vector<double> ckpt_;
   sim::SimTime seg_start_;
+  sim::SimTime reset_at_;
 };
 
-/// Oracle measuring consistency and receive latency across one publisher and
-/// any number of receivers. Construct it BEFORE the workload starts so it
-/// observes every record from birth. Membership is dynamic: receivers may
-/// attach (late join) and detach (leave/churn) mid-run; c(t) averages only
-/// over currently-attached receivers, and every mid-run joiner's catch-up
+/// Per-receiver mirror of one publisher and any number of receivers.
+/// Construct it BEFORE the workload starts so it observes every record from
+/// birth. Receivers attach and detach through a ConsistencyIntegral over
+/// this monitor (late join, leave/churn); every mid-run joiner's catch-up
 /// latency — time from attach until its own consistency first reaches the
 /// catch-up threshold — is recorded.
 ///
@@ -111,73 +132,24 @@ class ConsistencyMonitor {
   ConsistencyMonitor(const ConsistencyMonitor&) = delete;
   ConsistencyMonitor& operator=(const ConsistencyMonitor&) = delete;
 
-  /// Attaches a receiver (at construction time or mid-run). Returns the
-  /// receiver's index. Mid-run joiners start with an empty consistent set
-  /// and converge purely from what they subsequently receive.
-  std::size_t attach(ReceiverTable& recv);
-
-  /// Detaches receiver `r` (receiver churn): it stops counting toward c(t)
-  /// and its callbacks are ignored from now on. Indices are stable — other
-  /// receivers keep theirs, and `r` is never reused.
-  void detach(std::size_t r);
-
   /// True while receiver `r` is attached.
   [[nodiscard]] bool active(std::size_t r) const {
     return receivers_.at(r).active;
   }
 
-  /// Number of currently-attached receivers.
-  [[nodiscard]] std::size_t active_receivers() const { return active_count_; }
-
-  /// Number of receivers ever attached (indices are stable, never reused).
-  [[nodiscard]] std::size_t receiver_count() const {
-    return receivers_.size();
-  }
-
-  /// Receiver r's own consistency: fraction of live records it holds at the
-  /// current version (1.0 for an empty live set).
+  /// Receiver r's own consistency c_r: fraction of live records it holds at
+  /// the current version (1.0 for an empty live set).
   [[nodiscard]] double receiver_consistency(std::size_t r) const;
 
-  /// Threshold a joiner's own consistency must reach to count as caught up.
-  void set_catch_up_threshold(double threshold) {
-    catch_up_threshold_ = threshold;
-  }
-
   /// Catch-up latency of receiver `r`: seconds from attach until its own
-  /// consistency first reached the catch-up threshold; negative while still
+  /// consistency first reached kCatchUpThreshold; negative while still
   /// catching up.
   [[nodiscard]] double catch_up_latency(std::size_t r) const {
     return receivers_.at(r).catch_up_latency;
   }
 
-  /// Discards statistics gathered so far (warm-up cutoff). Live-set and
-  /// consistency state are preserved; only the averages restart.
-  void reset_stats();
-
-  /// Instantaneous system consistency c(t).
-  [[nodiscard]] double instantaneous() const {
-    return segments_.instantaneous();
-  }
-
-  /// Average system consistency E[c(t)] up to `now`.
-  [[nodiscard]] double average_consistency();
-
-  /// Integral of c(t) dt since the last reset; windowed averages (e.g. the
-  /// Figure 8 time series) are computed by differencing this.
-  [[nodiscard]] double consistency_integral();
-
-  /// Receive-latency samples: time from a (key, version) entering the system
-  /// to its FIRST receipt at each receiver, measured over successful
-  /// deliveries only (as in the paper's T_recv). Samples are merged from the
-  /// per-receiver streams in receiver-index order (deterministic, and the
-  /// same order the shard coordinator uses for its global merge).
-  [[nodiscard]] stats::Samples& latency();
-
-  /// Number of live records right now.
-  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
-
   /// Number of (key,version) pairs introduced / first-received since the last
-  /// reset_stats().
+  /// reset.
   [[nodiscard]] std::uint64_t versions_introduced() const {
     return versions_introduced_;
   }
@@ -193,6 +165,19 @@ class ConsistencyMonitor {
 
  private:
   friend class ConsistencyIntegral;
+
+  /// Own consistency a joiner must reach to count as caught up.
+  static constexpr double kCatchUpThreshold = 0.9;
+
+  // Membership and the warm-up reset, reached only through the
+  // ConsistencyIntegral that reduces over this monitor (it closes its
+  // segment first). attach returns the receiver's index; mid-run joiners
+  // start with an empty consistent set. A detached receiver stops counting
+  // toward c(t) and its callbacks are ignored; indices are never reused.
+  std::size_t attach(ReceiverTable& recv);
+  void detach(std::size_t r);
+  /// Restarts every receiver's average and latency samples at the clock.
+  void reset_stats();
 
   struct LiveRec {
     Version version = 0;
@@ -234,15 +219,8 @@ class ConsistencyMonitor {
   std::unordered_map<Key, LiveRec> live_;
   std::uint64_t intro_serial_ = 0;
 
-  double catch_up_threshold_ = 0.9;
-  std::size_t catching_up_count_ = 0;  // receivers still converging
   std::size_t active_count_ = 0;
 
-  ConsistencyIntegral segments_;  // over this monitor alone
-  sim::SimTime reset_time_ = 0.0;
-
-  stats::Samples merged_latency_;
-  bool merged_dirty_ = true;
   std::uint64_t versions_introduced_ = 0;
   std::uint64_t versions_received_ = 0;
 };

@@ -113,18 +113,28 @@ double Collector::repair_traffic(const Tally& now) const {
   return total;
 }
 
-void Collector::fill(ExperimentResult& out, const Tally& end,
-                     const SenderSide& sender, const Workload& workload,
-                     const PublisherTable& pub, const EngineMeasures& engine) {
+void Collector::sample(ConsistencyIntegral& consistency, double now) {
+  const double integral = consistency.integral(now);
+  timeline_.push_back(
+      TimelinePoint{now, (integral - last_integral_) / cfg_->sample_interval});
+  last_integral_ = integral;
+}
+
+ExperimentResult Collector::result(const Tally& end, const SenderSide& sender,
+                                   const Workload& workload,
+                                   const PublisherTable& pub,
+                                   ConsistencyIntegral& consistency,
+                                   double now, std::uint64_t redundant_tx) {
   const ExperimentConfig& cfg = *cfg_;
-  out.avg_consistency = engine.avg_consistency;
+  ExperimentResult out;
+  out.avg_consistency = consistency.average(now);
   if (fluid_) {
     // Blend the fluid cohort into the aggregate with population weights:
     // the tracked receivers and the cohort observe the same announce
     // stream, so E[c] over the whole population is the weighted mean.
     // Churn moves the discrete weight the same way in both engines.
     fluid_->advance(cfg.warmup + cfg.duration);
-    const auto n = static_cast<double>(engine.active_receivers);
+    const auto n = static_cast<double>(consistency.active_receivers());
     const double m = cfg.fluid_cohort;
     const double cf = fluid_->average_consistency();
     out.fluid_cohort = m;
@@ -137,9 +147,10 @@ void Collector::fill(ExperimentResult& out, const Tally& end,
   }
   // The mean before the quantiles: quantile() sorts the samples, and the
   // mean's compensated accumulation is insertion-order sensitive.
-  out.mean_latency = engine.latency->mean();
-  out.p50_latency = engine.latency->quantile(0.50);
-  out.p95_latency = engine.latency->quantile(0.95);
+  stats::Samples latency = consistency.latency();
+  out.mean_latency = latency.mean();
+  out.p50_latency = latency.quantile(0.50);
+  out.p95_latency = latency.quantile(0.95);
 
   const SenderStats& s = end.sender;
   out.data_tx = s.data_tx - warm_.sender.data_tx;
@@ -147,7 +158,7 @@ void Collector::fill(ExperimentResult& out, const Tally& end,
   out.cold_tx = s.cold_tx - warm_.sender.cold_tx;
   out.repair_tx = s.repair_tx - warm_.sender.repair_tx;
   out.nacks_received = s.nacks_received - warm_.sender.nacks_received;
-  out.redundant_tx = engine.redundant_tx;
+  out.redundant_tx = redundant_tx;
   out.redundant_fraction =
       out.data_tx > 0 ? static_cast<double>(out.redundant_tx) /
                             static_cast<double>(out.data_tx)
@@ -180,6 +191,8 @@ void Collector::fill(ExperimentResult& out, const Tally& end,
   out.final_live = pub.live_count();
   out.final_hot_depth = sender.hot_depth();
   out.final_cold_depth = sender.cold_depth();
+  out.timeline = std::move(timeline_);
+  return out;
 }
 
 }  // namespace sst::core

@@ -89,6 +89,7 @@ inline double nack_loss(const ExperimentConfig& cfg) {
 struct Block {
   sim::Simulator& sim;
   ConsistencyMonitor& monitor;
+  ConsistencyIntegral& consistency;  // the engine's one, over `monitor` too
   net::Channel<DataMsg>& data;
   std::vector<ReceiverRig>& rigs;
 };
@@ -117,7 +118,7 @@ std::size_t build_receiver(const ExperimentConfig& cfg, const sim::Rng& root,
   const auto origin = static_cast<std::uint32_t>(r + 1);
   ReceiverRig rig;
   rig.table = std::make_unique<ReceiverTable>(block.sim, cfg.receiver_ttl);
-  block.monitor.attach(*rig.table);
+  block.consistency.attach(block.monitor, *rig.table);
 
   if (feedback && !cfg.multicast_feedback) {
     rig.fb_channel = std::make_unique<net::Channel<NackMsg>>(block.sim);
@@ -237,7 +238,7 @@ inline void detach(const Block& block, std::size_t local,
                    net::Channel<NackMsg>* group) {
   ReceiverRig& rig = block.rigs[local];
   rig.active = false;
-  block.monitor.detach(local);
+  block.consistency.detach(block.monitor, local);
   rig.agent->stop();
   block.data.set_receiver_enabled(local, false);
   if (group != nullptr && rig.has_mcast_ep) {

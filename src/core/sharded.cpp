@@ -24,8 +24,8 @@
 //   * Fault hooks (crash, partition, churn, bandwidth) run in coordinator
 //     context at fence-snapped barrier instants, where every clock is parked
 //     exactly at the hook time — the same state the single engine exposes —
-//     and dynamic membership closes the E[c] segment of the one
-//     ConsistencyIntegral that reduces over every shard monitor.
+//     and dynamic membership goes through the one ConsistencyIntegral that
+//     reduces over every shard monitor, which closes its E[c] segment.
 #include "core/sharded.hpp"
 
 #include <algorithm>
@@ -46,7 +46,6 @@
 #include "core/rig_build.hpp"
 #include "net/loss.hpp"
 #include "sim/shard.hpp"
-#include "stats/histogram.hpp"
 
 namespace sst::core {
 
@@ -211,14 +210,11 @@ class ShardedEngine {
   Collector collector_ SST_ROOT_ONLY;
   bool warmed_ SST_ROOT_ONLY = false;
 
-  // E[c] over the shard monitors in index order: the same accumulator a
-  // single monitor reduces over itself, so the terms, their order and the
-  // rounding match the single engine's. The coordinator drives it between
-  // barriers, holding the shard role.
+  // E[c] over the shard monitors in index order: the same accumulator the
+  // single engine runs over its one monitor, so the terms, their order and
+  // the rounding match. Built before the receivers, which attach through
+  // it; the coordinator drives it between barriers, holding the shard role.
   std::optional<ConsistencyIntegral> consistency_ SST_ROOT_ONLY;
-
-  double last_integral_ SST_ROOT_ONLY = 0.0;
-  ExperimentResult result_ SST_ROOT_ONLY;
 
   // Cross-shard NACK merge scratch (reused every epoch).
   struct PendingNack {
@@ -287,19 +283,21 @@ ShardedEngine::ShardedEngine(const ExperimentConfig& cfg,
   const std::size_t total = cfg_.num_receivers;
   const std::size_t shards =
       std::min(std::max<std::size_t>(cfg_.shards, 1), total);
+  std::vector<ConsistencyMonitor*> monitors;
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
-    const auto [lo, hi] = sim::shard_bounds(s, total, shards);
-    shards_.back()->base = lo;
-    for (std::size_t r = lo; r < hi; ++r) {
-      build_rig(*shards_.back(), r);
-      locate_.emplace_back(s, shards_.back()->rigs.size() - 1);
+    shards_.back()->base = sim::shard_bounds(s, total, shards).first;
+    monitors.push_back(&shards_.back()->monitor);
+  }
+  consistency_.emplace(std::move(monitors), rsim_.now());
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t hi = sim::shard_bounds(s, total, shards).second;
+    for (std::size_t r = shards_[s]->base; r < hi; ++r) {
+      build_rig(*shards_[s], r);
+      locate_.emplace_back(s, shards_[s]->rigs.size() - 1);
     }
   }
-  std::vector<ConsistencyMonitor*> monitors;
-  for (auto& sh : shards_) monitors.push_back(&sh->monitor);
-  consistency_.emplace(std::move(monitors), rsim_.now());
 
   // The sender's transmissions and probes fire on the root simulator
   // between barriers (its service process lives there): root role +
@@ -338,7 +336,8 @@ void ShardedEngine::build_rig(Shard& sh, std::size_t r) {
   // owning shard through the epoch log.
   Shard* shp = &sh;
   rig::build_receiver(
-      cfg_, root_, rig::Block{sh.sim, sh.monitor, sh.data, sh.rigs}, r,
+      cfg_, root_,
+      rig::Block{sh.sim, sh.monitor, *consistency_, sh.data, sh.rigs}, r,
       [shp](const NackMsg& nack) {
         // Group uplinks run on the shard's simulator inside the owning
         // worker's epoch phase — the mailbox's producer side.
@@ -527,10 +526,9 @@ void ShardedEngine::worker_epoch(std::size_t s) {
 
 void ShardedEngine::warm_reset() {
   // The warm-up barrier parks every clock (root and shards) exactly at
-  // cfg_.warmup, so each monitor's reset_stats() pins the same reset time
-  // the single engine records.
+  // cfg_.warmup, so the reset pins the same time in every monitor that the
+  // single engine records.
   warmed_ = true;
-  for (auto& sh : shards_) sh->monitor.reset_stats();
   consistency_->reset(rsim_.now());
   collector_.warm(tally());
   // The sharded mirror of "after run_warmup()": statistics just reset, every
@@ -696,10 +694,7 @@ ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
     if (!warmed_ && b.time == cfg_.warmup) warm_reset();
     if (next_sample < samples.size() && b.time == samples[next_sample]) {
       ++next_sample;
-      const double integral = consistency_->integral(b.time);
-      result_.timeline.push_back(TimelinePoint{
-          b.time, (integral - last_integral_) / cfg_.sample_interval});
-      last_integral_ = integral;
+      collector_.sample(*consistency_, b.time);
     }
     last = b.time;
   }
@@ -708,15 +703,6 @@ ExperimentResult ShardedEngine::run(ShardedRunStats* stats) {
 }
 
 ExperimentResult ShardedEngine::collect(double end) {
-  EngineMeasures m;
-  m.avg_consistency = end > cfg_.warmup
-                          ? consistency_->integral(end) / (end - cfg_.warmup)
-                          : consistency_->instantaneous();
-  m.active_receivers = consistency_->active_receivers();
-  stats::Samples lat;
-  consistency_->merge_latency(lat);
-  m.latency = &lat;
-
   // Redundancy: probe i was redundant iff every shard's local AND held.
   // Warm-up probes are excluded by time, mirroring the counter reset.
 #if SST_CHECK_ENABLED
@@ -733,6 +719,7 @@ ExperimentResult ShardedEngine::collect(double end) {
     check::report("ShardedEngine", v);
   }
 #endif
+  std::uint64_t redundant_tx = 0;
   for (std::size_t i = 0; i < probe_times_.size(); ++i) {
     if (!(probe_times_[i] > cfg_.warmup)) continue;
     bool all = true;
@@ -742,16 +729,17 @@ ExperimentResult ShardedEngine::collect(double end) {
         break;
       }
     }
-    if (all) ++m.redundant_tx;
+    if (all) ++redundant_tx;
   }
 
-  collector_.fill(result_, tally(), *sender_, *workload_, pub_, m);
-  return result_;
+  return collector_.result(tally(), *sender_, *workload_, pub_, *consistency_,
+                           end, redundant_tx);
 }
 
 // --------------------------------------------------------- fault surface
 // The shared rig functions over the receiver that locate_ finds; churn
-// also closes the global E[c] segment, where the active count jumps.
+// goes through the one ConsistencyIntegral, which closes its E[c] segment
+// where the active count jumps.
 
 void ShardedEngine::set_partition(std::size_t r, bool down) {
   rig::set_partition(rig_at(r), down);
@@ -778,9 +766,6 @@ void ShardedEngine::set_extra_loss_all(double p) {
 }
 
 std::size_t ShardedEngine::add_receiver() {
-  // The active count jumps: close the global segment first, over the
-  // pre-join membership — the same order ConsistencyMonitor::attach uses.
-  consistency_->close_segment(rsim_.now());
   const std::size_t r = locate_.size();
   Shard& sh = *shards_.back();  // tail shard keeps global order contiguous
   build_rig(sh, r);
@@ -792,12 +777,8 @@ void ShardedEngine::detach_receiver(std::size_t r) {
   const auto [s, i] = locate_.at(r);
   Shard& sh = *shards_[s];
   if (!sh.rigs[i].active) return;
-  // Close over the pre-leave membership, then drop the receiver — the same
-  // order ConsistencyMonitor::detach uses (its own shard-local close runs
-  // inside detach(), at the same parked instant).
-  consistency_->close_segment(rsim_.now());
-  rig::detach(rig::Block{sh.sim, sh.monitor, sh.data, sh.rigs}, i,
-              mcast_fb_.get());
+  rig::detach(rig::Block{sh.sim, sh.monitor, *consistency_, sh.data, sh.rigs},
+              i, mcast_fb_.get());
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "sstp/session.hpp"
 
-#include <cstdio>
-
 #include "net/delay.hpp"
 #include "net/loss.hpp"
 
@@ -42,14 +40,6 @@ Session::Session(sim::Simulator& sim, SessionConfig config)
                                         : config_.fb_loss_rate),
       sampler_(sim),
       consistency_(sim.now(), 1.0) {
-  if (config_.shards > 1) {
-    std::fprintf(stderr,
-                 "sstp: shards=%zu unsupported for wire sessions (shared "
-                 "sender/allocator state has no lookahead window); using the "
-                 "single-queue engine\n",
-                 config_.shards);
-    config_.shards = 1;
-  }
   data_channel_ = std::make_unique<net::Channel<WireBytes>>(sim);
 
   // Hostile forward path (reorder/dup/partition) sits between the sender

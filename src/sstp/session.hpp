@@ -70,14 +70,6 @@ struct SessionConfig {
   /// configured channels.
   double fluid_cohort = 0.0;
   analysis::FluidParams fluid;
-
-  /// Sharded-engine crew size, mirroring ExperimentConfig::shards. SSTP wire
-  /// sessions run on the caller's single Simulator: the sender, allocator,
-  /// and namespace are shared mutable state with zero-latency coupling to
-  /// every receiver, so there is no positive conservative-lookahead window
-  /// to exploit (see core/sharded.hpp). Values > 1 warn once and fall back
-  /// to the single-queue engine rather than crash.
-  std::size_t shards = 1;
 };
 
 /// A fully wired simulated SSTP session.

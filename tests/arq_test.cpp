@@ -25,6 +25,7 @@ struct Fixture {
   sim::Simulator sim;
   core::PublisherTable pub;
   core::ConsistencyMonitor monitor{sim, pub};
+  core::ConsistencyIntegral consistency{{&monitor}, 0.0};
   core::WorkloadParams wp;
   std::unique_ptr<core::Workload> workload;
   core::ReceiverTable recv_table{sim, 0.0};
@@ -36,7 +37,7 @@ struct Fixture {
   explicit Fixture(double loss = 0.0,
                    std::vector<std::pair<double, double>> outages = {},
                    SenderConfig scfg = {}) {
-    monitor.attach(recv_table);
+    consistency.attach(monitor, recv_table);
     wp.insert_rate = 0.0;
     workload = std::make_unique<core::Workload>(sim, pub, wp, sim::Rng(1));
 
@@ -106,7 +107,7 @@ TEST(ArqTransfer, ReliableInOrderDeliveryNoLoss) {
   for (int i = 0; i < 50; ++i) keys.push_back(f.pub.insert({}, 500));
   f.sim.run_until(10.0);
   EXPECT_EQ(f.recv_table.size(), 50u);
-  EXPECT_DOUBLE_EQ(f.monitor.instantaneous(), 1.0);
+  EXPECT_DOUBLE_EQ(f.consistency.instantaneous(), 1.0);
   EXPECT_EQ(f.sender->stats().retransmits, 0u);
 }
 
@@ -119,7 +120,7 @@ TEST(ArqTransfer, RecoversFromLossViaRto) {
   f.sim.run_until(1.0);
   for (int i = 0; i < 100; ++i) f.pub.insert({}, 500);
   f.sim.run_until(300.0);
-  EXPECT_DOUBLE_EQ(f.monitor.instantaneous(), 1.0);
+  EXPECT_DOUBLE_EQ(f.consistency.instantaneous(), 1.0);
   EXPECT_GT(f.sender->stats().retransmits, 0u);
   EXPECT_EQ(f.receiver->stats().ops_applied, 100u);
 }
@@ -137,7 +138,7 @@ TEST(ArqTransfer, UpdatesAndRemovesReplicate) {
   ASSERT_NE(f.recv_table.find(a), nullptr);
   EXPECT_EQ(f.recv_table.find(a)->version, 2u);
   EXPECT_EQ(f.recv_table.find(b), nullptr);
-  EXPECT_DOUBLE_EQ(f.monitor.instantaneous(), 1.0);
+  EXPECT_DOUBLE_EQ(f.consistency.instantaneous(), 1.0);
 }
 
 TEST(ArqTransfer, CongestionWindowLimitsInflight) {
@@ -185,18 +186,18 @@ TEST(ArqFailure, ReconnectTriggersSnapshotResyncAndFlush) {
   f.sim.run_until(1.0);
   for (int i = 0; i < 30; ++i) f.pub.insert({}, 500);
   f.sim.run_until(15.0);
-  ASSERT_DOUBLE_EQ(f.monitor.instantaneous(), 1.0);
+  ASSERT_DOUBLE_EQ(f.consistency.instantaneous(), 1.0);
 
   // Changes during the partition are invisible to the receiver.
   f.sim.at(25.0, [&] { f.pub.insert({}, 500); });
   f.sim.run_until(39.0);
-  EXPECT_LT(f.monitor.instantaneous(), 1.0);
+  EXPECT_LT(f.consistency.instantaneous(), 1.0);
   EXPECT_GT(f.sender->stats().connection_deaths, 0u);
 
   // After the partition heals: reconnect, receiver flushes, full snapshot
   // restores consistency.
   f.sim.run_until(120.0);
-  EXPECT_DOUBLE_EQ(f.monitor.instantaneous(), 1.0);
+  EXPECT_DOUBLE_EQ(f.consistency.instantaneous(), 1.0);
   EXPECT_GE(f.receiver->stats().flushes, 1u);
   EXPECT_GE(f.sender->stats().snapshot_ops, 31u);
   EXPECT_EQ(f.recv_table.size(), 31u);

@@ -93,11 +93,13 @@ echo "sstsim multicast sharded: shards in {1,2,4,8} byte-identical"
 
 # Faulted runs shard too: every injector instant (fault starts/ends,
 # consistency sampler ticks) is fence-snapped onto a barrier, so the whole
-# recovery report must match the single-queue engine bitwise.
+# recovery report must match the single-queue engine bitwise. The plan
+# includes a join at the warm-up cutoff (the reset instant) and a leave and
+# a join at one instant, where the E[c] segment close is zero-width.
 fault_args="--variant=feedback --lambda-kbps=12 --mu-data-kbps=42 \
       --mu-fb-kbps=12 --loss=0.25 --receivers=8 --delay=0.05 \
       --duration=400 --warmup=50 --seed=7 --replications=8 \
-      --faults=crash@150+30;partition:2@220+40;burst:0.5@300+30;leave:1@360;join@370"
+      --faults=join@50;crash@150+30;partition:2@220+40;burst:0.5@300+30;leave:1@360;leave:3@370;join@370"
 # shellcheck disable=SC2086
 "$sstsim" $fault_args --shards=1 --jobs=1 > "$work/fault_ref.txt"
 for k in 2 4 8; do

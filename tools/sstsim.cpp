@@ -3,11 +3,12 @@
 // experiment harness.
 //
 // Examples:
-//   sstsim --variant=feedback --lambda-kbps=15 --mu-data-kbps=42 \
+// (one command each; continuation lines are indented)
+//   sstsim --variant=feedback --lambda-kbps=15 --mu-data-kbps=42
 //          --mu-fb-kbps=18 --hot-share=0.85 --loss=0.4 --duration=3000
-//   sstsim --variant=openloop --lambda-kbps=20 --mu-data-kbps=128 \
+//   sstsim --variant=openloop --lambda-kbps=20 --mu-data-kbps=128
 //          --death=per-tx --p-death=0.2 --loss=0.1 --timeline=100
-//   sstsim --variant=hardstate --lambda-kbps=10 --loss=0.02 \
+//   sstsim --variant=hardstate --lambda-kbps=10 --loss=0.02
 //          --outage=900:1020
 //   sstsim --help
 #include <cstdio>
