@@ -130,18 +130,15 @@ HardStateResult run_hard_state(const HardStateConfig& cfg) {
 
   HardStateResult result;
   std::unique_ptr<sim::PeriodicTimer> sampler;
-  double last_integral = 0.0;
+  core::Timeline timeline(cfg.sample_interval);
   if (cfg.sample_interval > 0) {
     sampler = std::make_unique<sim::PeriodicTimer>(sim);
-    sampler->start(cfg.sample_interval, [&] {
-      const double integral = consistency.integral(sim.now());
-      result.timeline.push_back(core::TimelinePoint{
-          sim.now(), (integral - last_integral) / cfg.sample_interval});
-      last_integral = integral;
-    });
+    sampler->start(cfg.sample_interval,
+                   [&] { timeline.sample(consistency, sim.now()); });
   }
   sim.run_until(cfg.warmup + cfg.duration);
   if (sampler) sampler->stop();
+  result.timeline = timeline.take();
 
   result.avg_consistency = consistency.average(sim.now());
   stats::Samples latency = consistency.latency();

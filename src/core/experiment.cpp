@@ -17,19 +17,24 @@ Experiment::Experiment(ExperimentConfig config)
       monitor_(sim_, pub_),
       consistency_({&monitor_}, sim_.now()),
       workload_(sim_, pub_, cfg_.workload, root_.fork("workload")),
-      data_channel_(sim_),
+      data_channel_(sim_, rig::deliver_data(receivers_)),
       collector_(cfg_) {
   // Multicast feedback: one shared group over which every NACK reaches the
   // sender and every other receiver (observe_nack), enabling slotting and
   // damping.
   if (cfg_.variant == Variant::kFeedback && cfg_.multicast_feedback) {
-    mcast_fb_ = std::make_unique<net::Channel<NackMsg>>(sim_);
-    mcast_fb_->add_receiver(
+    mcast_fb_ = std::make_unique<FanOut<NackMsg>>(
+        sim_, [this](const NackMsg& nack,
+                     const std::vector<std::uint32_t>& eps) {
+          rig::for_each_group_target(
+              nack, eps, [&] { deliver_nack(nack); },
+              [&](std::size_t r) { receivers_[r].agent->observe_nack(nack); });
+        });
+    mcast_fb_->add_endpoint(
         rig::make_loss(cfg_, rig::nack_loss(cfg_),
                        root_.fork("nack-loss-sender"),
                        root_.fork("switch-nack-sender")),
-        rig::make_delay(cfg_, root_.fork("nack-delay-sender")),
-        [this](const NackMsg& nack) { deliver_nack(nack); });
+        rig::make_delay(cfg_, root_.fork("nack-delay-sender")));
   }
 
   for (std::size_t r = 0; r < cfg_.num_receivers; ++r) add_receiver();
@@ -57,12 +62,9 @@ Experiment::Experiment(ExperimentConfig config)
 
 std::size_t Experiment::add_receiver() {
   // Every receiver lives on this one queue; its feedback reaches the sender
-  // (unicast) or the group (multicast) directly, and it overhears the group
-  // through a local endpoint.
+  // (unicast) or the group (multicast) directly.
   return rig::build_receiver(
-      cfg_, root_,
-      rig::Block{sim_, monitor_, consistency_, data_channel_, receivers_},
-      receivers_.size(),
+      cfg_, root_, block(), receivers_.size(),
       [this](const NackMsg& nack) { group_nack_send(nack); },
       [this](net::Channel<NackMsg>& channel,
              std::unique_ptr<net::LossModel> loss,
@@ -71,16 +73,12 @@ std::size_t Experiment::add_receiver() {
                              [this](const NackMsg& nack) {
                                deliver_nack(nack);
                              });
-      },
-      [this](std::unique_ptr<net::LossModel> loss,
-             std::unique_ptr<net::DelayModel> delay, ReceiverAgent* agent,
-             std::uint32_t origin) {
-        return mcast_fb_->add_receiver(
-            std::move(loss), std::move(delay),
-            [agent, origin](const NackMsg& nack) {
-              if (nack.origin != origin) agent->observe_nack(nack);
-            });
       });
+}
+
+rig::Block Experiment::block() {
+  return rig::Block{sim_, monitor_, consistency_, data_channel_,
+                    mcast_fb_.get(), receivers_};
 }
 
 void Experiment::deliver_nack(const NackMsg& nack) {
@@ -160,9 +158,7 @@ void Experiment::set_extra_loss_all(double p) {
 
 void Experiment::detach_receiver(std::size_t r) {
   if (!receivers_.at(r).active) return;
-  rig::detach(
-      rig::Block{sim_, monitor_, consistency_, data_channel_, receivers_}, r,
-      mcast_fb_.get());
+  rig::detach(block(), r);
 }
 
 ExperimentResult Experiment::finish() {

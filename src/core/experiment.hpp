@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "analysis/meanfield.hpp"
+#include "core/fanout.hpp"
 #include "core/monitor.hpp"
 #include "core/open_loop.hpp"
 #include "core/receiver.hpp"
@@ -139,6 +140,26 @@ struct ExperimentConfig {
 struct TimelinePoint {
   double time = 0.0;
   double consistency = 0.0;
+};
+
+/// The c(t) timeline every harness records (both soft-state engines and the
+/// hard-state ARQ baseline): sampled every `interval` from the warm-up
+/// cutoff, each point c(t) averaged over the last interval by differencing
+/// ∫c dt.
+class Timeline {
+ public:
+  explicit Timeline(double interval) : interval_(interval) {}
+
+  /// Appends the point at `now`.
+  void sample(ConsistencyIntegral& consistency, double now);
+  [[nodiscard]] std::vector<TimelinePoint> take() {
+    return std::move(points_);
+  }
+
+ private:
+  double interval_;
+  double last_integral_ = 0.0;
+  std::vector<TimelinePoint> points_;
 };
 
 /// Everything a run measures (over the post-warm-up window).
@@ -264,11 +285,10 @@ struct Tally {
   /// Adds one block of receivers with the data channel and monitor they
   /// attach to. Blocks must come in global receiver order (fb_bytes is a
   /// plain floating-point sum).
-  void add(const std::vector<ReceiverRig>& rigs,
-           const net::Channel<DataMsg>& data,
+  void add(const std::vector<ReceiverRig>& rigs, const FanOut<DataMsg>& data,
            const ConsistencyMonitor& monitor);
   /// Adds the shared feedback group's bytes (null: no group).
-  void add_group(const net::Channel<NackMsg>* group);
+  void add_group(const FanOut<NackMsg>* group);
 };
 
 /// The warm-up baseline, the hybrid fluid cohort, the c(t) timeline, and
@@ -305,9 +325,12 @@ class Collector {
   const ExperimentConfig* cfg_;
   Tally warm_;
   std::unique_ptr<analysis::FluidIntegrator> fluid_;
-  std::vector<TimelinePoint> timeline_;
-  double last_integral_ = 0.0;
+  Timeline timeline_;
 };
+
+namespace rig {
+struct Block;
+}  // namespace rig
 
 /// The experiment rig, held open between run steps so faults can be applied
 /// to the live system. Usage:
@@ -398,6 +421,8 @@ class Experiment {
   }
 
  private:
+  /// The whole population as one rig::Block.
+  rig::Block block();
   void deliver_nack(const NackMsg& nack);
   void count_redundant(const DataMsg& msg);
   /// Entry point into the shared feedback group. Same-instant sends are
@@ -419,8 +444,8 @@ class Experiment {
   ConsistencyMonitor monitor_;
   ConsistencyIntegral consistency_;  // over monitor_
   Workload workload_;
-  net::Channel<DataMsg> data_channel_;
-  std::unique_ptr<net::Channel<NackMsg>> mcast_fb_;
+  FanOut<DataMsg> data_channel_;
+  std::unique_ptr<FanOut<NackMsg>> mcast_fb_;
   std::vector<NackMsg> pending_group_;  // see group_nack_send
   std::vector<ReceiverRig> receivers_;
   // Built after the receivers and the oracle-removal listener, whose

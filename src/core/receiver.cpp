@@ -1,5 +1,6 @@
 #include "core/receiver.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace sst::core {
@@ -36,9 +37,10 @@ void ReceiverAgent::handle(const DataMsg& msg) {
       // Gap: seqs [next_expected_, msg.seq) were lost (FIFO sender, ordered
       // channel) or are still in flight (jittered channel; a late arrival is
       // handled in the branch below and cancels the NACK state).
+      // Every outstanding loss lies below next_expected_, so each of these
+      // seqs is new.
       std::vector<std::uint64_t> fresh;
       for (std::uint64_t s = next_expected_; s < msg.seq; ++s) {
-        if (missing_.contains(s)) continue;
         note_missing(s);
         if (config_.nack_slot_max <= 0) {
           fresh.push_back(s);
@@ -62,6 +64,7 @@ void ReceiverAgent::handle(const DataMsg& msg) {
 void ReceiverAgent::note_missing(std::uint64_t seq) {
   ++stats_.gaps_detected;
   Missing m;
+  m.seq = seq;
   m.retries = 0;
   m.last_nacked = sim_->now();
   if (config_.nack_slot_max <= 0) {
@@ -74,38 +77,51 @@ void ReceiverAgent::note_missing(std::uint64_t seq) {
     const sim::Duration slot = rng_.uniform() * config_.nack_slot_max;
     sim_->after(slot, [this, seq] { slot_fire(seq); });
   }
-  missing_.emplace(seq, m);
+  missing_.push_back(m);
   if (!scanner_.running() && config_.retry_timeout > 0) {
     scanner_.start(config_.retry_timeout, [this] { scan_retries(); });
   }
 }
 
+ReceiverAgent::Missing* ReceiverAgent::find_missing(std::uint64_t seq) {
+  // O(1) out for a seq outside [oldest, newest]: a receiver with no loss
+  // near the one an overheard NACK names skips the search.
+  if (missing_.empty() || seq < missing_.front().seq ||
+      seq > missing_.back().seq) {
+    return nullptr;
+  }
+  const auto it = std::lower_bound(
+      missing_.begin(), missing_.end(), seq,
+      [](const Missing& m, std::uint64_t s) { return m.seq < s; });
+  return it != missing_.end() && it->seq == seq ? &*it : nullptr;
+}
+
 void ReceiverAgent::slot_fire(std::uint64_t seq) {
-  const auto it = missing_.find(seq);
-  if (it == missing_.end()) return;  // repaired in the meantime
-  Missing& m = it->second;
-  if (m.requested) return;  // damped by an overheard NACK
-  m.requested = true;
-  m.last_nacked = sim_->now();
+  Missing* m = find_missing(seq);
+  if (m == nullptr) return;  // repaired in the meantime
+  if (m->requested) return;  // damped by an overheard NACK
+  m->requested = true;
+  m->last_nacked = sim_->now();
   send_nack_for({seq});
 }
 
 void ReceiverAgent::observe_nack(const NackMsg& nack) {
-  if (stopped_) return;
+  if (stopped_ || missing_.empty()) return;
   for (const std::uint64_t seq : nack.missing_seqs) {
-    const auto it = missing_.find(seq);
-    if (it == missing_.end()) continue;
-    Missing& m = it->second;
-    if (!m.requested) ++stats_.suppressed;
+    Missing* m = find_missing(seq);
+    if (m == nullptr) continue;
+    if (!m->requested) ++stats_.suppressed;
     // The overheard request stands in for ours: damp the slot send and push
     // our retry clock back.
-    m.requested = true;
-    m.last_nacked = sim_->now();
+    m->requested = true;
+    m->last_nacked = sim_->now();
   }
 }
 
 void ReceiverAgent::repair_received(std::uint64_t seq) {
-  missing_.erase(seq);
+  if (const Missing* m = find_missing(seq)) {
+    missing_.erase(missing_.begin() + (m - missing_.data()));
+  }
   if (missing_.empty()) scanner_.stop();
 }
 
@@ -122,32 +138,32 @@ void ReceiverAgent::scan_retries() {
   // Batch every overdue loss into as few NACK packets as possible. A loss is
   // overdue when it has gone retry_timeout * backoff^retries without being
   // re-requested; after max_retries it is abandoned to the cold cycle.
+  // Abandoned losses are dropped by compacting the kept ones forward.
   std::vector<std::uint64_t> batch;
   const sim::SimTime now = sim_->now();
-  for (auto it = missing_.begin(); it != missing_.end();) {
-    Missing& m = it->second;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < missing_.size(); ++i) {
+    Missing& m = missing_[i];
     const double threshold =
         config_.retry_timeout * std::pow(config_.retry_backoff, m.retries);
-    if (now - m.last_nacked + 1e-9 < threshold) {
-      ++it;
-      continue;
+    if (now - m.last_nacked + 1e-9 >= threshold) {
+      if (m.retries >= config_.max_retries) {
+        ++stats_.abandoned;
+        continue;
+      }
+      ++m.retries;
+      ++stats_.retries;
+      m.last_nacked = now;
+      m.requested = true;
+      batch.push_back(m.seq);
+      if (batch.size() >= config_.max_batch) {
+        send_nack_for(batch);
+        batch.clear();
+      }
     }
-    if (m.retries >= config_.max_retries) {
-      ++stats_.abandoned;
-      it = missing_.erase(it);
-      continue;
-    }
-    ++m.retries;
-    ++stats_.retries;
-    m.last_nacked = now;
-    m.requested = true;
-    batch.push_back(it->first);
-    if (batch.size() >= config_.max_batch) {
-      send_nack_for(batch);
-      batch.clear();
-    }
-    ++it;
+    missing_[kept++] = m;
   }
+  missing_.resize(kept);
   if (!batch.empty()) send_nack_for(batch);
   if (missing_.empty()) scanner_.stop();
 }

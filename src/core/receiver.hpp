@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "core/messages.hpp"
@@ -103,11 +102,14 @@ class ReceiverAgent {
 
  private:
   struct Missing {
+    std::uint64_t seq = 0;
     int retries = 0;
     sim::SimTime last_nacked = 0;
     bool requested = false;  // we (or an overheard peer) asked for it
   };
 
+  /// The outstanding loss `seq`, or null.
+  Missing* find_missing(std::uint64_t seq);
   void note_missing(std::uint64_t seq);
   void slot_fire(std::uint64_t seq);
   void repair_received(std::uint64_t seq);
@@ -122,7 +124,9 @@ class ReceiverAgent {
 
   bool stopped_ = false;
   std::uint64_t next_expected_ = 0;
-  std::map<std::uint64_t, Missing> missing_;  // ordered: oldest first
+  // Outstanding losses, ascending by seq. Every new gap lies at or past
+  // next_expected_, above every seq already here, so inserts append.
+  std::vector<Missing> missing_;
   sim::PeriodicTimer scanner_;
   ReceiverStats stats_;
 };

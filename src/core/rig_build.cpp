@@ -68,8 +68,9 @@ std::size_t SenderSide::cold_depth() const {
 }
 
 void Tally::add(const std::vector<ReceiverRig>& rigs,
-                const net::Channel<DataMsg>& data,
+                const FanOut<DataMsg>& fanout,
                 const ConsistencyMonitor& monitor) {
+  const net::Channel<DataMsg>& data = fanout.channel();
   for (const auto& rig : rigs) {
     nacks_sent += rig.agent->stats().nacks_sent;
     nacks_suppressed += rig.agent->stats().suppressed;
@@ -84,11 +85,19 @@ void Tally::add(const std::vector<ReceiverRig>& rigs,
   versions_received += monitor.versions_received();
 }
 
-void Tally::add_group(const net::Channel<NackMsg>* group) {
-  if (group != nullptr) fb_bytes += group->stats().bytes_sent;
+void Tally::add_group(const FanOut<NackMsg>* group) {
+  if (group != nullptr) fb_bytes += group->channel().stats().bytes_sent;
 }
 
-Collector::Collector(const ExperimentConfig& cfg) : cfg_(&cfg) {
+void Timeline::sample(ConsistencyIntegral& consistency, double now) {
+  const double integral = consistency.integral(now);
+  points_.push_back(
+      TimelinePoint{now, (integral - last_integral_) / interval_});
+  last_integral_ = integral;
+}
+
+Collector::Collector(const ExperimentConfig& cfg)
+    : cfg_(&cfg), timeline_(cfg.sample_interval) {
   if (cfg.backend == Backend::kHybrid) {
     fluid_ =
         std::make_unique<analysis::FluidIntegrator>(fluid_params_from(cfg));
@@ -114,10 +123,7 @@ double Collector::repair_traffic(const Tally& now) const {
 }
 
 void Collector::sample(ConsistencyIntegral& consistency, double now) {
-  const double integral = consistency.integral(now);
-  timeline_.push_back(
-      TimelinePoint{now, (integral - last_integral_) / cfg_->sample_interval});
-  last_integral_ = integral;
+  timeline_.sample(consistency, now);
 }
 
 ExperimentResult Collector::result(const Tally& end, const SenderSide& sender,
@@ -191,7 +197,7 @@ ExperimentResult Collector::result(const Tally& end, const SenderSide& sender,
   out.final_live = pub.live_count();
   out.final_hot_depth = sender.hot_depth();
   out.final_cold_depth = sender.cold_depth();
-  out.timeline = std::move(timeline_);
+  out.timeline = timeline_.take();
   return out;
 }
 

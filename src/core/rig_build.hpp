@@ -11,10 +11,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/fanout.hpp"
 #include "core/monitor.hpp"
 #include "core/receiver.hpp"
 #include "net/channel.hpp"
@@ -83,21 +86,57 @@ inline double nack_loss(const ExperimentConfig& cfg) {
   return cfg.nack_loss_rate < 0 ? cfg.loss_rate : cfg.nack_loss_rate;
 }
 
-/// The receivers one event queue drives, with the queue-local plumbing they
-/// attach to: the whole population under the single-queue engine, one
-/// contiguous block per shard under the sharded engine.
+/// The receivers one event queue drives, with the plumbing they attach to:
+/// the whole population under the single-queue engine, one contiguous block
+/// per shard under the sharded engine.
 struct Block {
   sim::Simulator& sim;
   ConsistencyMonitor& monitor;
   ConsistencyIntegral& consistency;  // the engine's one, over `monitor` too
-  net::Channel<DataMsg>& data;
+  FanOut<DataMsg>& data;             // endpoint i is block receiver i
+  FanOut<NackMsg>* group;            // the shared feedback group, if any
   std::vector<ReceiverRig>& rigs;
 };
 
+/// The data channel's batch delivery over a block: endpoint i is rig i.
+inline FanOut<DataMsg>::Deliver deliver_data(std::vector<ReceiverRig>& rigs) {
+  return [&rigs](const DataMsg& msg, const std::vector<std::uint32_t>& eps) {
+    for (const std::uint32_t ep : eps) rigs[ep].agent->handle(msg);
+  };
+}
+
+/// The shared feedback group's endpoints, the same under both engines:
+/// endpoint 0 is the sender, and endpoint r + 1 is where receiver r (global
+/// index) overhears the group. r + 1 is also the origin receiver r stamps
+/// on its own NACKs.
+inline constexpr std::uint32_t kGroupSender = 0;
+inline std::uint32_t group_origin(std::size_t r) {
+  return static_cast<std::uint32_t>(r + 1);
+}
+
+/// Walks one group batch in endpoint order: `to_sender()` for the sender's
+/// endpoint, `to_receiver(r)` for every receiver r that overhears `nack` —
+/// all but its originator, whose own NACK echoes back to it.
+template <class ToSender, class ToReceiver>
+void for_each_group_target(const NackMsg& nack,
+                           const std::vector<std::uint32_t>& eps,
+                           const ToSender& to_sender,
+                           const ToReceiver& to_receiver) {
+  for (const std::uint32_t ep : eps) {
+    if (ep == kGroupSender) {
+      to_sender();
+    } else if (ep != nack.origin) {
+      to_receiver(std::size_t{ep} - 1);
+    }
+  }
+}
+
 /// Builds receiver `r` into `block` and returns its index there. `r` is the
 /// GLOBAL index: every stream is root.fork(tag, r), so the draws do not
-/// depend on which engine or shard hosts the receiver. Only the far ends of
-/// its feedback differ between the engines, and the engine supplies them:
+/// depend on which engine or shard hosts the receiver. Its data endpoint
+/// and its observe endpoint on the group (endpoint group_origin(r)) are
+/// added here; only the far ends of its feedback differ between the
+/// engines, and the engine supplies them:
 ///
 ///   uplink(nack)      a tagged NACK entering the shared feedback group
 ///                     (multicast feedback), past this receiver's hostile
@@ -105,17 +144,13 @@ struct Block {
 ///   attach_sender(channel, loss, delay)
 ///                     adds the sender's endpoint to this receiver's
 ///                     unicast feedback channel.
-///   attach_observe(loss, delay, agent, origin) -> endpoint index
-///                     adds the endpoint on the shared group through which
-///                     this receiver overhears the other receivers' NACKs.
-template <class Uplink, class AttachSender, class AttachObserve>
+template <class Uplink, class AttachSender>
 std::size_t build_receiver(const ExperimentConfig& cfg, const sim::Rng& root,
                            const Block& block, std::size_t r,
                            const Uplink& uplink,
-                           const AttachSender& attach_sender,
-                           const AttachObserve& attach_observe) {
+                           const AttachSender& attach_sender) {
   const bool feedback = cfg.variant == Variant::kFeedback;
-  const auto origin = static_cast<std::uint32_t>(r + 1);
+  const std::uint32_t origin = group_origin(r);
   ReceiverRig rig;
   rig.table = std::make_unique<ReceiverTable>(block.sim, cfg.receiver_ttl);
   block.consistency.attach(block.monitor, *rig.table);
@@ -191,16 +226,20 @@ std::size_t build_receiver(const ExperimentConfig& cfg, const sim::Rng& root,
         root.fork("agent", r));
   }
 
-  ReceiverAgent* agent = rig.agent.get();
   if (feedback && cfg.multicast_feedback) {
     auto obs_loss = make_loss(cfg, nack_loss(cfg),
                               root.fork("nack-observe-loss", r),
                               root.fork("switch-observe", r));
     rig.observe_switch = obs_loss.get();
-    rig.mcast_ep = attach_observe(
+    rig.mcast_ep = block.group->add_endpoint(
         std::move(obs_loss),
-        make_delay(cfg, root.fork("nack-observe-delay", r)), agent, origin);
+        make_delay(cfg, root.fork("nack-observe-delay", r)));
     rig.has_mcast_ep = true;
+    // The group's batch delivery finds this receiver by endpoint index.
+    if (rig.mcast_ep != origin) {
+      throw std::logic_error("group endpoint " + std::to_string(rig.mcast_ep) +
+                             " built out of receiver order");
+    }
   }
   const double fwd_loss = r < cfg.receiver_loss_rates.size()
                               ? cfg.receiver_loss_rates[r]
@@ -208,9 +247,11 @@ std::size_t build_receiver(const ExperimentConfig& cfg, const sim::Rng& root,
   auto fwd = make_loss(cfg, fwd_loss, root.fork("loss", r),
                        root.fork("switch-loss", r));
   rig.fwd_switch = fwd.get();
-  block.data.add_receiver(std::move(fwd),
-                          make_delay(cfg, root.fork("delay", r)),
-                          [agent](const DataMsg& msg) { agent->handle(msg); });
+  if (block.data.add_endpoint(std::move(fwd),
+                              make_delay(cfg, root.fork("delay", r))) !=
+      block.rigs.size()) {
+    throw std::logic_error("data endpoint built out of block order");
+  }
 
   block.rigs.push_back(std::move(rig));
   return block.rigs.size() - 1;
@@ -233,16 +274,15 @@ inline void set_extra_loss(ReceiverRig& rig, double p) {
 }
 
 /// Receiver leave: block receiver `local` stops receiving, NACKing, and
-/// counting toward c(t). `group` is the shared feedback group, if any.
-inline void detach(const Block& block, std::size_t local,
-                   net::Channel<NackMsg>* group) {
+/// counting toward c(t).
+inline void detach(const Block& block, std::size_t local) {
   ReceiverRig& rig = block.rigs[local];
   rig.active = false;
   block.consistency.detach(block.monitor, local);
   rig.agent->stop();
-  block.data.set_receiver_enabled(local, false);
-  if (group != nullptr && rig.has_mcast_ep) {
-    group->set_receiver_enabled(rig.mcast_ep, false);
+  block.data.set_endpoint_enabled(local, false);
+  if (block.group != nullptr && rig.has_mcast_ep) {
+    block.group->set_endpoint_enabled(rig.mcast_ep, false);
   }
 }
 

@@ -57,7 +57,7 @@ struct RootEvent {
     kChange,  // publisher table change (monitor mirror + oracle removal)
     kData,    // transmission entering the forward data channel
     kProbe,   // redundancy oracle probe at sender transmit time
-    kNack,    // group NACK overheard by one receiver (multicast damping)
+    kNack,    // group NACK overheard at one instant (multicast damping)
   };
 
   Kind kind = Kind::kChange;
@@ -67,7 +67,8 @@ struct RootEvent {
   DataMsg msg;                            // kData / kProbe payload
   sim::Bytes size = 0;                    // kData wire size
   NackMsg nack;                           // kNack payload
-  std::size_t nack_rec = 0;               // kNack: observing receiver (global)
+  std::vector<std::uint32_t> nack_recs;   // kNack: overhearing receivers
+                                          // (global indices, ascending)
 };
 
 /// Everything one worker thread owns. Heap-allocated so addresses captured
@@ -80,11 +81,11 @@ struct RootEvent {
 /// role-split producer/consumer contract (sim::SpscMailbox), so it stays
 /// unguarded here — its methods are the capability boundary.
 struct Shard {
-  Shard() : monitor(sim), data(sim) {}
+  Shard() : monitor(sim), data(sim, rig::deliver_data(rigs)) {}
 
   sim::Simulator sim SST_SHARD_LOCAL;
   ConsistencyMonitor monitor SST_SHARD_LOCAL;  // fed by the epoch log
-  net::Channel<DataMsg> data SST_SHARD_LOCAL;  // shard's data-channel slice
+  FanOut<DataMsg> data SST_SHARD_LOCAL;        // shard's data-channel slice
   std::vector<ReceiverRig> rigs SST_SHARD_LOCAL;  // local == global order
   sim::SpscMailbox<NackMsg> mailbox;  // worker -> root NACK lane (role-split)
   std::vector<std::uint8_t> probe_holds SST_SHARD_LOCAL;  // local AND verdicts
@@ -156,6 +157,10 @@ class ShardedEngine {
   // shard role — the coordinator adopts it between barriers, while the
   // workers are parked.
   void build_rig(Shard& sh, std::size_t r);
+  [[nodiscard]] rig::Block block(Shard& sh) SST_REQUIRES_COORDINATOR;
+  void deliver_group(const NackMsg& nack,
+                     const std::vector<std::uint32_t>& eps) SST_REQUIRES_ROOT
+      SST_REQUIRES_FENCE;
   [[nodiscard]] ReceiverRig& rig_at(std::size_t r) SST_REQUIRES_COORDINATOR;
   void append_data(const DataMsg& msg, sim::Bytes size) SST_REQUIRES_ROOT
       SST_REQUIRES_FENCE;
@@ -177,10 +182,10 @@ class ShardedEngine {
 
   // Multicast feedback group, root-hosted. The carrier simulator exists only
   // to hold the group's clock at each replayed send instant (it never runs
-  // events); declared before the channel so the channel, which references
-  // it, is destroyed first.
+  // events: the group's batches run on rsim_); declared before the group so
+  // the group, which references it, is destroyed first.
   sim::Simulator gsim_ SST_ROOT_ONLY;
-  std::unique_ptr<net::Channel<NackMsg>> mcast_fb_ SST_ROOT_ONLY;
+  std::unique_ptr<FanOut<NackMsg>> mcast_fb_ SST_ROOT_ONLY;
 
   // The vector itself is frozen after construction (stable topology); the
   // pointed-to Shard state carries its own member-level guards.
@@ -255,29 +260,24 @@ ShardedEngine::ShardedEngine(const ExperimentConfig& cfg,
   // Multicast feedback: the shared group lives on the root side (every
   // receiver couples through it), carried by gsim_ so each replayed send
   // draws its per-endpoint loss and delay at the exact instant the single
-  // engine's group->send did. Endpoint 0 is the sender, as in Experiment;
-  // the per-receiver observe endpoints follow in build_rig order.
+  // engine's group->send did, with its batches on the root queue. Endpoint
+  // 0 is the sender, as in Experiment; the per-receiver observe endpoints
+  // follow in build_rig order.
   if (cfg_.variant == Variant::kFeedback && cfg_.multicast_feedback) {
-    mcast_fb_ = std::make_unique<net::Channel<NackMsg>>(gsim_);
-    mcast_fb_->add_remote_receiver(
+    mcast_fb_ = std::make_unique<FanOut<NackMsg>>(
+        gsim_, rsim_,
+        [this](const NackMsg& nack, const std::vector<std::uint32_t>& eps) {
+          // Fires on the root simulator between barriers: root role +
+          // exclusive fence, like every root event.
+          check::root_role.assert_held();
+          check::epoch_fence.assert_held();
+          deliver_group(nack, eps);
+        });
+    mcast_fb_->add_endpoint(
         rig::make_loss(cfg_, rig::nack_loss(cfg_),
                        root_.fork("nack-loss-sender"),
                        root_.fork("switch-nack-sender")),
-        rig::make_delay(cfg_, root_.fork("nack-delay-sender")),
-        [this](const NackMsg& nack, sim::SimTime arrival) {
-          // Group replay runs on the coordinator between barriers
-          // (drain_nacks): root role, sole writer of the root queue.
-          check::root_role.assert_held();
-          rsim_.at(arrival, [this, nack] {
-            // Fires on the root simulator between barriers: root role +
-            // exclusive fence, like every root event.
-            check::root_role.assert_held();
-            check::epoch_fence.assert_held();
-            if (TwoQueueSender* tq = sender_->two_queue()) {
-              tq->handle_nack(nack);
-            }
-          });
-        });
+        rig::make_delay(cfg_, root_.fork("nack-delay-sender")));
   }
 
   const std::size_t total = cfg_.num_receivers;
@@ -331,13 +331,12 @@ void ShardedEngine::build_rig(Shard& sh, std::size_t r) {
   // The receiver lives on the shard's simulator; its feedback far ends
   // cross the shard boundary. Unicast NACKs and group uplinks enter the
   // shard's mailbox (the coordinator replays group sends on the root-hosted
-  // group at their exact send instants), and the observe endpoint is a
-  // remote endpoint on that group whose overheard copies return to the
-  // owning shard through the epoch log.
+  // group at their exact send instants), and its observe endpoint on that
+  // group returns the overheard copies to the owning shard through the
+  // epoch log (deliver_group).
   Shard* shp = &sh;
   rig::build_receiver(
-      cfg_, root_,
-      rig::Block{sh.sim, sh.monitor, *consistency_, sh.data, sh.rigs}, r,
+      cfg_, root_, block(sh), r,
       [shp](const NackMsg& nack) {
         // Group uplinks run on the shard's simulator inside the owning
         // worker's epoch phase — the mailbox's producer side.
@@ -347,7 +346,7 @@ void ShardedEngine::build_rig(Shard& sh, std::size_t r) {
       [shp](net::Channel<NackMsg>& channel,
             std::unique_ptr<net::LossModel> loss,
             std::unique_ptr<net::DelayModel> delay) {
-        channel.add_remote_receiver(
+        channel.add_send_time_receiver(
             std::move(loss), std::move(delay),
             [shp](const NackMsg& nack, sim::SimTime arrival) {
               // The feedback channel lives on the shard's simulator, so
@@ -356,32 +355,33 @@ void ShardedEngine::build_rig(Shard& sh, std::size_t r) {
               check::shard_role.assert_held();
               shp->mailbox.push(arrival, nack);
             });
-      },
-      [this, r](std::unique_ptr<net::LossModel> loss,
-                std::unique_ptr<net::DelayModel> delay,
-                ReceiverAgent* /*agent*/, std::uint32_t origin) {
-        return mcast_fb_->add_remote_receiver(
-            std::move(loss), std::move(delay),
-            [this, origin, r](const NackMsg& nack, sim::SimTime arrival) {
-              // Group replay runs on the coordinator between barriers
-              // (drain_nacks): root role, sole writer of the root queue.
-              check::root_role.assert_held();
-              if (nack.origin == origin) return;
-              rsim_.at(arrival, [this, nack, r] {
-                // Fires on the root simulator between barriers, where the
-                // coordinator holds the epoch fence exclusively (log
-                // writer).
-                check::root_role.assert_held();
-                check::epoch_fence.assert_held();
-                RootEvent e;
-                e.kind = RootEvent::Kind::kNack;
-                e.time = rsim_.now();
-                e.nack = nack;
-                e.nack_rec = r;
-                log_.push_back(std::move(e));
-              });
-            });
       });
+}
+
+rig::Block ShardedEngine::block(Shard& sh) {
+  return rig::Block{sh.sim,  sh.monitor,      *consistency_,
+                    sh.data, mcast_fb_.get(), sh.rigs};
+}
+
+void ShardedEngine::deliver_group(const NackMsg& nack,
+                                  const std::vector<std::uint32_t>& eps) {
+  // One batch of the group: the sender handles its copy here, and the
+  // receivers that overhear this instant ride ONE log entry, which each
+  // shard applies to its own slice.
+  RootEvent e;
+  e.kind = RootEvent::Kind::kNack;
+  e.time = rsim_.now();
+  rig::for_each_group_target(
+      nack, eps,
+      [&] {
+        if (TwoQueueSender* tq = sender_->two_queue()) tq->handle_nack(nack);
+      },
+      [&](std::size_t r) {
+        e.nack_recs.push_back(static_cast<std::uint32_t>(r));
+      });
+  if (e.nack_recs.empty()) return;
+  e.nack = nack;
+  log_.push_back(std::move(e));
 }
 
 ReceiverRig& ShardedEngine::rig_at(std::size_t r) {
@@ -504,13 +504,17 @@ void ShardedEngine::worker_epoch(std::size_t s) {
       case RootEvent::Kind::kProbe:
         sh.probe_holds.push_back(rig::all_hold(sh.rigs, e.msg) ? 1 : 0);
         break;
-      case RootEvent::Kind::kNack:
-        // Overheard group NACK: only the owning shard applies it (a stopped
-        // agent ignores it, matching the single engine's detach semantics).
-        if (e.nack_rec >= sh.base && e.nack_rec - sh.base < sh.rigs.size()) {
-          sh.rigs[e.nack_rec - sh.base].agent->observe_nack(e.nack);
+      case RootEvent::Kind::kNack: {
+        // Overheard group NACK: each shard applies its own slice of the
+        // receiver list (a stopped agent ignores it, matching the single
+        // engine's detach semantics).
+        const auto& recs = e.nack_recs;
+        for (auto it = std::lower_bound(recs.begin(), recs.end(), sh.base);
+             it != recs.end() && *it - sh.base < sh.rigs.size(); ++it) {
+          sh.rigs[*it - sh.base].agent->observe_nack(e.nack);
         }
         break;
+      }
     }
   }
   wsim.set_fence(plan_.fence);
@@ -777,8 +781,7 @@ void ShardedEngine::detach_receiver(std::size_t r) {
   const auto [s, i] = locate_.at(r);
   Shard& sh = *shards_[s];
   if (!sh.rigs[i].active) return;
-  rig::detach(rig::Block{sh.sim, sh.monitor, *consistency_, sh.data, sh.rigs},
-              i, mcast_fb_.get());
+  rig::detach(block(sh), i);
 }
 
 }  // namespace

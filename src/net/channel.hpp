@@ -6,6 +6,12 @@
 // the soft state model (the sender's transmission scheduler is the "server"
 // of the paper's queueing model). For shared-bottleneck topologies, compose
 // with Link<M> (link.hpp).
+//
+// An endpoint is local (add_receiver: the channel schedules one delivery
+// event per surviving copy on its simulator) or send-time
+// (add_send_time_receiver: the channel hands the copy and its drawn
+// arrival time to the owner at send time and schedules nothing). Either way
+// the loss and delay draws happen at send time, in endpoint order.
 #pragma once
 
 #include <cstdint>
@@ -69,25 +75,29 @@ class Channel {
     return receivers_.size() - 1;
   }
 
-  /// Delivery callback for a receiver that lives on ANOTHER shard's event
-  /// queue: invoked at SEND time with the already-drawn arrival time. The
-  /// sharded engine needs the arrival time eagerly — the receiving side's
-  /// epoch has not run yet when the send happens — so a remote endpoint
-  /// replaces the local schedule-after-delay step with this callback.
-  using RemoteHandler = std::function<void(const M&, sim::SimTime arrival)>;
+  /// Delivery callback of a send-time endpoint: invoked at SEND time with
+  /// the already-drawn arrival time, instead of a delivery event scheduled
+  /// on this channel's simulator. Two kinds of owner need the arrival
+  /// eagerly: a receiver on another event queue (the sharded engine's
+  /// worker->root feedback, whose receiving side has not run yet when the
+  /// send happens), and a batcher that schedules one delivery event per
+  /// (send, arrival instant) for many endpoints at once (core::FanOut).
+  using SendTimeHandler =
+      std::function<void(const M&, sim::SimTime arrival)>;
 
-  /// Adds a cross-shard receiver endpoint. Loss and delay are drawn exactly
+  /// Adds a send-time receiver endpoint. Loss and delay are drawn exactly
   /// as for a local endpoint (same models, same stream order, same
   /// statistics), but instead of scheduling delivery on this simulator,
-  /// `remote` is called immediately with the message and its arrival time
-  /// now + delay. Used by the sharded engine's worker→root feedback path.
-  std::size_t add_remote_receiver(std::unique_ptr<LossModel> loss,
-                                  std::unique_ptr<DelayModel> delay,
-                                  RemoteHandler remote) {
+  /// `on_send` is called immediately with the message and its arrival time
+  /// now + delay. The channel schedules nothing for such an endpoint; what
+  /// happens at the arrival time is the owner's business.
+  std::size_t add_send_time_receiver(std::unique_ptr<LossModel> loss,
+                                     std::unique_ptr<DelayModel> delay,
+                                     SendTimeHandler on_send) {
     auto ep = std::make_unique<Endpoint>();
     ep->loss = std::move(loss);
     ep->delay = std::move(delay);
-    ep->remote = std::move(remote);
+    ep->on_send = std::move(on_send);
     receivers_.push_back(std::move(ep));
     return receivers_.size() - 1;
   }
@@ -116,10 +126,10 @@ class Channel {
       ++ep->stats.delivered;
       ++stats_.delivered;
       const sim::Duration d = ep->delay->delay(sim_->now());
-      if (ep->remote) {
-        // Cross-shard endpoint: hand over (message, arrival time) now; the
-        // receiving shard schedules the delivery on its own queue.
-        ep->remote(msg, sim_->now() + d);
+      if (ep->on_send) {
+        // Send-time endpoint: hand over (message, arrival time) now; the
+        // owner schedules the delivery.
+        ep->on_send(msg, sim_->now() + d);
         continue;
       }
       if (!payload) payload = acquire_payload(msg);
@@ -206,7 +216,7 @@ class Channel {
     std::unique_ptr<LossModel> loss;
     std::unique_ptr<DelayModel> delay;
     Handler handler;
-    RemoteHandler remote;  // set instead of handler for cross-shard endpoints
+    SendTimeHandler on_send;  // set instead of handler: send-time endpoint
     ChannelStats stats;
     bool enabled = true;
   };

@@ -350,6 +350,25 @@ TEST(ShardedIdentity, MulticastFeedbackMatches) {
   }
 }
 
+TEST(ShardedIdentity, MulticastFeedbackJitteredMatches) {
+  // Jittered delays split one send across several arrival instants, so the
+  // data channel and the root-hosted NACK group each deliver one send in
+  // several batches — and unicast-free feedback reorders freely.
+  core::ExperimentConfig cfg = small_cfg(core::Variant::kFeedback);
+  cfg.multicast_feedback = true;
+  cfg.receiver.nack_slot_max = 0.1;
+  cfg.jitter = 0.03;
+
+  const auto ref = core::run_experiment(cfg);
+  EXPECT_GT(ref.nacks_sent, 0u);
+  EXPECT_GT(ref.nacks_suppressed, 0u);
+  for (const std::size_t k : {2u, 4u, 8u}) {
+    cfg.shards = k;
+    const auto got = core::run_experiment(cfg);
+    expect_identical(ref, got, "jittered multicast K=" + std::to_string(k));
+  }
+}
+
 TEST(ShardedIdentity, MulticastFeedbackWithHostileUplinksMatches) {
   // Multicast x hostile: each receiver's uplink into the group runs through
   // its own shard-local reordering stage before the NACK crosses into the

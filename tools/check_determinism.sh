@@ -91,6 +91,25 @@ for k in 2 4 8; do
 done
 echo "sstsim multicast sharded: shards in {1,2,4,8} byte-identical"
 
+# The same at a few hundred receivers: every data send and every group NACK
+# then fans out across all shard slices, one batch per arrival instant.
+mcast_wide_args="--variant=feedback --lambda-kbps=15 --mu-data-kbps=45 \
+      --mu-fb-kbps=64 --loss=0.1 --receivers=200 --delay=0.05 \
+      --multicast-fb --slot=1.0 --duration=60 --warmup=5 --seed=7 \
+      --replications=2"
+# shellcheck disable=SC2086
+"$sstsim" $mcast_wide_args --shards=1 --jobs=1 > "$work/mcast_wide_ref.txt"
+for k in 2 4 8; do
+  # shellcheck disable=SC2086
+  "$sstsim" $mcast_wide_args --shards=$k --jobs=2 > "$work/mcast_wide_$k.txt"
+  diff "$work/mcast_wide_ref.txt" "$work/mcast_wide_$k.txt" > /dev/null || {
+    echo "FAIL: 200-receiver multicast output differs between --shards=1 and --shards=$k" >&2
+    diff "$work/mcast_wide_ref.txt" "$work/mcast_wide_$k.txt" >&2 || true
+    exit 1
+  }
+done
+echo "sstsim 200-receiver multicast sharded: shards in {1,2,4,8} byte-identical"
+
 # Faulted runs shard too: every injector instant (fault starts/ends,
 # consistency sampler ticks) is fence-snapped onto a barrier, so the whole
 # recovery report must match the single-queue engine bitwise. The plan
